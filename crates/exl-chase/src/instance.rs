@@ -177,7 +177,7 @@ impl Instance {
         for (id, cube) in ds.iter() {
             let rel = inst.relations.entry(id.clone()).or_default();
             for (k, v) in cube.data.iter_sorted() {
-                rel.insert(inst.pool.intern_tuple(k), v);
+                rel.insert(inst.pool.intern_tuple(&k), v);
             }
         }
         inst

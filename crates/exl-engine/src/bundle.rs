@@ -4,8 +4,9 @@
 //! `exlc --bundle-dir`) and a run fails — a contained panic, a deadline,
 //! a tripped budget, a cancellation, or a failed subgraph under
 //! `keep_going` — the engine dumps everything a post-mortem needs into
-//! one JSON file: the flight recorder's event tail, the distinct fault
-//! sites that fired, a metrics snapshot, governance state, per-subgraph
+//! one JSON file: the run's flight recorder event tail (events other
+//! runs in the process recorded are filtered out by run id), the
+//! distinct fault sites that fired in it, a metrics snapshot, governance state, per-subgraph
 //! statuses, and enough environment to reproduce. Successful runs write
 //! nothing. The schema is versioned ([`BUNDLE_VERSION`]) and documented
 //! in docs/OBSERVABILITY.md; `scripts/check.sh` validates an emitted
@@ -44,9 +45,9 @@ pub struct CrashBundle {
     /// dispatch order.
     pub subgraphs: Vec<BundleSubgraph>,
     /// Distinct injected-fault sites that fired during the run, from the
-    /// event ring (empty outside chaos testing).
+    /// run's events (empty outside chaos testing).
     pub fault_sites: Vec<String>,
-    /// The flight recorder's event tail, oldest first.
+    /// The run's flight recorder events, oldest first.
     pub events: Vec<BundleEvent>,
     /// Metrics snapshot (the `exl-obs` JSON document; `{}`-shaped even
     /// when metrics are disabled).
@@ -198,7 +199,8 @@ pub(crate) fn build_bundle(
         .iter()
         .find(|r| is_failing(r.status) || r.error.is_some())
         .map(subgraph_entry);
-    let events: Vec<BundleEvent> = exl_obs::flight::tail()
+    // the ring is shared by every run in the process: keep this run's
+    let events: Vec<BundleEvent> = exl_obs::flight::tail_for_run(governor.run())
         .into_iter()
         .map(|e| BundleEvent {
             seq: e.seq,

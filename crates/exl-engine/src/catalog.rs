@@ -7,11 +7,20 @@
 //! route computations), registered program sources, and *historicity*: a
 //! versioned sequence of datasets per cube, so that every recomputation is
 //! an auditable new version rather than an overwrite.
+//!
+//! Every stored version is keyed in the catalog's one append-only
+//! [`DimPool`]: a cube arriving in a pool that agrees with it is stored
+//! as-is (the catalog adopts the longer pool), anything else is remapped
+//! once, at store time. Cubes read back from the catalog therefore never
+//! disagree on a symbol, and runs over them share batches instead of
+//! remapping keys — even after revisions that add new strings to
+//! different cubes.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use exl_model::schema::{CubeId, CubeKind, CubeSchema};
-use exl_model::{Cube, CubeData, Dataset};
+use exl_model::{Cube, CubeData, Dataset, DimPool};
 
 use crate::error::EngineError;
 use crate::target::TargetKind;
@@ -44,13 +53,44 @@ impl CubeMeta {
 }
 
 /// The metadata catalog.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Catalog {
+    state: CatalogState,
+    /// The pool every stored version is keyed in. Storage, not content:
+    /// it is neither serialized nor compared, and a deserialized catalog
+    /// grows it again as versions are stored.
+    pool: Arc<DimPool>,
+}
+
+/// The catalog's content — exactly what its persistence format holds.
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+struct CatalogState {
     cubes: BTreeMap<CubeId, CubeMeta>,
     /// Registered program sources by name, in registration order.
     programs: Vec<(String, String)>,
     /// Engine-wide logical clock for versioning.
     clock: u64,
+}
+
+impl PartialEq for Catalog {
+    fn eq(&self, other: &Catalog) -> bool {
+        self.state == other.state
+    }
+}
+
+impl serde::Serialize for Catalog {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        self.state.serialize(serializer)
+    }
+}
+
+impl<'de> serde::Deserialize<'de> for Catalog {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        CatalogState::deserialize(deserializer).map(|state| Catalog {
+            state,
+            pool: Arc::default(),
+        })
+    }
 }
 
 impl Catalog {
@@ -62,14 +102,14 @@ impl Catalog {
     /// Register a cube schema. Re-registering the identical schema is a
     /// no-op; a conflicting one is an error.
     pub fn register_schema(&mut self, schema: CubeSchema) -> Result<(), EngineError> {
-        match self.cubes.get(&schema.id) {
+        match self.state.cubes.get(&schema.id) {
             Some(meta) if meta.schema == schema => Ok(()),
             Some(_) => Err(EngineError::Catalog(format!(
                 "cube {} is already registered with a different schema",
                 schema.id
             ))),
             None => {
-                self.cubes.insert(
+                self.state.cubes.insert(
                     schema.id.clone(),
                     CubeMeta {
                         schema,
@@ -84,18 +124,20 @@ impl Catalog {
 
     /// Record a program source under a name.
     pub fn register_program_source(&mut self, name: &str, source: &str) -> Result<(), EngineError> {
-        if self.programs.iter().any(|(n, _)| n == name) {
+        if self.state.programs.iter().any(|(n, _)| n == name) {
             return Err(EngineError::Catalog(format!(
                 "program {name} is already registered"
             )));
         }
-        self.programs.push((name.to_string(), source.to_string()));
+        self.state
+            .programs
+            .push((name.to_string(), source.to_string()));
         Ok(())
     }
 
     /// Registered program sources, in order.
     pub fn programs(&self) -> &[(String, String)] {
-        &self.programs
+        &self.state.programs
     }
 
     /// Pin a cube to a target system.
@@ -105,6 +147,7 @@ impl Catalog {
         target: Option<TargetKind>,
     ) -> Result<(), EngineError> {
         let meta = self
+            .state
             .cubes
             .get_mut(id)
             .ok_or_else(|| EngineError::Catalog(format!("unknown cube {id}")))?;
@@ -114,22 +157,23 @@ impl Catalog {
 
     /// Metadata for a cube.
     pub fn meta(&self, id: &CubeId) -> Option<&CubeMeta> {
-        self.cubes.get(id)
+        self.state.cubes.get(id)
     }
 
     /// Schema lookup.
     pub fn schema(&self, id: &CubeId) -> Option<&CubeSchema> {
-        self.cubes.get(id).map(|m| &m.schema)
+        self.state.cubes.get(id).map(|m| &m.schema)
     }
 
     /// All cube ids.
     pub fn cube_ids(&self) -> Vec<CubeId> {
-        self.cubes.keys().cloned().collect()
+        self.state.cubes.keys().cloned().collect()
     }
 
     /// Ids of elementary cubes.
     pub fn elementary_ids(&self) -> Vec<CubeId> {
-        self.cubes
+        self.state
+            .cubes
             .iter()
             .filter(|(_, m)| m.schema.kind == CubeKind::Elementary)
             .map(|(id, _)| id.clone())
@@ -138,15 +182,17 @@ impl Catalog {
 
     /// Store a new version of a cube's data, returning the version number.
     pub fn store(&mut self, id: &CubeId, data: CubeData) -> Result<u64, EngineError> {
-        self.clock += 1;
-        let clock = self.clock;
+        self.state.clock += 1;
+        let clock = self.state.clock;
         let meta = self
+            .state
             .cubes
             .get_mut(id)
             .ok_or_else(|| EngineError::Catalog(format!("unknown cube {id}")))?;
+        let batch = data.batch_in(&mut self.pool);
         meta.versions.push(CubeVersion {
             version: clock,
-            data,
+            data: CubeData::from_shared(batch, self.pool.clone()),
         });
         Ok(clock)
     }
@@ -161,7 +207,10 @@ impl Catalog {
         &mut self,
         items: Vec<(CubeId, CubeData)>,
     ) -> Result<Vec<u64>, EngineError> {
-        if let Some((id, _)) = items.iter().find(|(id, _)| !self.cubes.contains_key(id)) {
+        if let Some((id, _)) = items
+            .iter()
+            .find(|(id, _)| !self.state.cubes.contains_key(id))
+        {
             return Err(EngineError::Catalog(format!(
                 "cannot commit run: unknown cube {id}"
             )));
@@ -175,13 +224,14 @@ impl Catalog {
 
     /// Latest data of a cube.
     pub fn current(&self, id: &CubeId) -> Option<&CubeData> {
-        self.cubes.get(id).and_then(|m| m.current())
+        self.state.cubes.get(id).and_then(|m| m.current())
     }
 
     /// Data of a cube as of a logical time (the latest version ≤ `at`) —
     /// the historicity query.
     pub fn as_of(&self, id: &CubeId, at: u64) -> Option<&CubeData> {
-        self.cubes
+        self.state
+            .cubes
             .get(id)?
             .versions
             .iter()
@@ -195,6 +245,7 @@ impl Catalog {
         let mut ds = Dataset::new();
         for id in ids {
             let meta = self
+                .state
                 .cubes
                 .get(id)
                 .ok_or_else(|| EngineError::Catalog(format!("unknown cube {id}")))?;
@@ -209,7 +260,7 @@ impl Catalog {
 
     /// The engine-wide logical clock.
     pub fn clock(&self) -> u64 {
-        self.clock
+        self.state.clock
     }
 
     /// Serialize to JSON (the catalog's persistence format).
@@ -274,6 +325,40 @@ mod tests {
             Some(2.0)
         );
         assert!(c.as_of(&"B".into(), v1).is_none());
+    }
+
+    #[test]
+    fn stored_versions_share_one_pool() {
+        let text = |names: &[&str]| {
+            CubeData::from_tuples(
+                names
+                    .iter()
+                    .enumerate()
+                    .map(|(i, n)| (vec![DimValue::str(*n)], i as f64)),
+            )
+            .unwrap()
+        };
+        let mut c = Catalog::new();
+        for id in ["A", "B"] {
+            c.register_schema(CubeSchema::new(
+                id,
+                vec![Dimension::new("r", DimType::Str)],
+                CubeKind::Elementary,
+            ))
+            .unwrap();
+        }
+        // independently built, disagreeing first-seen string orders
+        let a = text(&["x", "y"]);
+        let b = text(&["y", "z"]);
+        assert!(!a.pool().compatible(b.pool()));
+        c.store(&"A".into(), a.clone()).unwrap();
+        c.store(&"B".into(), b.clone()).unwrap();
+        let (sa, sb) = (
+            c.current(&"A".into()).unwrap(),
+            c.current(&"B".into()).unwrap(),
+        );
+        assert!(sa.pool().compatible(sb.pool()));
+        assert_eq!((sa, sb), (&a, &b));
     }
 
     #[test]

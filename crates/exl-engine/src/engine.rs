@@ -360,7 +360,9 @@ impl ExlEngine {
         std::fs::create_dir_all(&dir).map_err(|e| {
             EngineError::Persistence(format!("cannot create bundle dir {}: {e}", dir.display()))
         })?;
-        exl_obs::flight::arm_default();
+        // keep an armed ring: other engines in the process may be
+        // mid-run, and their bundles need their own events
+        exl_obs::flight::ensure_armed();
         self.bundle_dir = Some(dir);
         Ok(())
     }
@@ -613,6 +615,9 @@ impl ExlEngine {
         // over a fresh budget), installed as the dispatching thread's
         // ambient governor for the duration of the run
         let run_governor = self.govern.run_governor();
+        // this thread's flight events belong to the run from here on;
+        // worker threads enter it when they install the run's governor
+        let _flight_run = exl_obs::flight::enter_run(run_governor.run());
         let started = std::time::Instant::now();
         // observability collected alongside the report, surviving aborts
         let mut obs = RunObservation::default();

@@ -75,6 +75,8 @@ pub fn run_flow_parallel_traced(
     // capture it here and check it explicitly at each stage entry
     let governor = exl_fault::govern::governor();
     let governor = &governor;
+    // likewise the flight recorder run this flow's events belong to
+    let run = exl_obs::flight::current_run();
 
     std::thread::scope(|scope| -> Result<CubeData, EtlError> {
         // source stages
@@ -84,6 +86,7 @@ pub fn run_flow_parallel_traced(
             stream_rx.push(rx);
             let ctx = flow_ctx.clone();
             scope.spawn(move || {
+                let _run = exl_obs::flight::enter_run(run);
                 let span = ctx.child("etl.source");
                 span.set_attr("relation", source.relation.to_string());
                 let mut sent = 0u64;
@@ -110,6 +113,7 @@ pub fn run_flow_parallel_traced(
             acc = rx;
             let ctx = flow_ctx.clone();
             scope.spawn(move || {
+                let _run = exl_obs::flight::enter_run(run);
                 // build from the right stream, then probe with the left
                 let span = ctx.child("etl.merge");
                 let mut sent = 0u64;
@@ -141,6 +145,7 @@ pub fn run_flow_parallel_traced(
             acc = rx;
             let ctx = flow_ctx.clone();
             scope.spawn(move || {
+                let _run = exl_obs::flight::enter_run(run);
                 let span = ctx.child("etl.transform");
                 span.set_attr("kind", t.kind());
                 let mut sent = 0u64;

@@ -22,23 +22,45 @@
 //!
 //! The contract, pinned by the `incremental_differential` suite, is
 //! **bit-identity**: a patched output equals the cold from-scratch output
-//! of [`eval_statement`] on the current inputs, bit for bit. This holds
-//! because affected keys/groups are recomputed by the very same kernels
-//! over the very same (restricted) rows, and unaffected keys keep values
-//! that were themselves cold-path results.
+//! of [`eval_statement`](crate::eval_statement) on the current inputs,
+//! bit for bit. This holds because affected keys/groups are recomputed
+//! by the very same kernels over the very same (restricted) rows, and
+//! unaffected keys keep values that were themselves cold-path results.
+//!
+//! The kernels run on interned batches: current inputs, previous inputs
+//! and the previous output are brought into one pool (shared as-is when
+//! their pools agree, as every catalog version's does), changed keys are
+//! found by probing interned columns, and the patched output leaves as
+//! [`CubeData`] over that pool.
+
+use std::sync::Arc;
 
 use exl_lang::ast::{Expr, Statement};
+use exl_model::batch::CubeBatch;
 use exl_model::hash::{FxHashMap, FxHashSet};
+use exl_model::intern::{DimPool, IDim, IKey};
 use exl_model::schema::{CubeId, Dimension};
-use exl_model::value::DimValue;
-use exl_model::{Cube, CubeData, Dataset, DimTuple};
+use exl_model::{CubeData, Dataset, DimTuple};
 
 use crate::error::EvalError;
-use crate::eval::{eval_statement, key_parts, part_value};
+use crate::eval::{eval_statement_batches, key_parts, part_idim};
 
 /// Keys on which two versions of a cube differ: inserted, updated (by
 /// measure bits — the cache promises bit-identical replay), or removed.
+/// Versions whose pools agree (catalog versions always do) compare their
+/// interned columns directly; only the differing keys are resolved.
 pub fn changed_keys(old: &CubeData, new: &CubeData) -> Vec<DimTuple> {
+    let mut pool = new.pool().clone();
+    let new_batch = new.batch_in(&mut pool);
+    let old_batch = old.batch_in(&mut pool);
+    changed_ikeys(&old_batch, &new_batch)
+        .iter()
+        .map(|k| pool.resolve_tuple(k))
+        .collect()
+}
+
+/// [`changed_keys`] over two batches keyed in one pool.
+fn changed_ikeys(old: &CubeBatch, new: &CubeBatch) -> Vec<IKey> {
     let mut out = Vec::new();
     for (k, v) in new.iter() {
         match old.get(k) {
@@ -47,7 +69,7 @@ pub fn changed_keys(old: &CubeData, new: &CubeData) -> Vec<DimTuple> {
         }
     }
     for (k, _) in old.iter() {
-        if new.get(k).is_none() {
+        if !new.contains(k) {
             out.push(k.clone());
         }
     }
@@ -154,18 +176,57 @@ fn collect_leaves(
 /// semantics exactly. `None` when a shifted dimension holds a value the
 /// evaluator would reject (or an integer overflows) — the caller bails
 /// to a full recompute so errors surface on the cold path.
-fn shift_key(key: &[DimValue], chain: &[(usize, i64)], sign: i64) -> Option<DimTuple> {
-    let mut k: DimTuple = key.to_vec();
+fn shift_key(key: &IKey, chain: &[(usize, i64)], sign: i64) -> Option<IKey> {
+    if chain.is_empty() {
+        return Some(key.clone());
+    }
+    let mut k: Vec<IDim> = key.to_vec();
     for &(idx, off) in chain {
         let off = off.checked_mul(sign)?;
         let slot = k.get_mut(idx)?;
-        *slot = match &*slot {
-            DimValue::Time(t) => DimValue::Time(t.shift(off)),
-            DimValue::Int(i) => DimValue::Int(i.checked_add(off)?),
-            _ => return None,
+        *slot = match *slot {
+            IDim::Time(t) => IDim::Time(t.shift(off)),
+            IDim::Int(i) => IDim::Int(i.checked_add(off)?),
+            IDim::Sym(_) => return None,
         };
     }
-    Some(k)
+    Some(k.into())
+}
+
+/// The interned working set of one delta evaluation: the pool every
+/// cube the statement touches was brought into, and the current inputs.
+struct Work {
+    pool: Arc<DimPool>,
+    /// Current input batches and dimensions, by cube.
+    inputs: FxHashMap<CubeId, (Vec<Dimension>, Arc<CubeBatch>)>,
+}
+
+impl Work {
+    /// Evaluate `stmt` over restricted inputs and patch the previous
+    /// output: drop every `affected` key, then take the patch's value
+    /// for each patched key `keep` accepts.
+    fn patch(
+        &self,
+        stmt: &Statement,
+        restricted: Vec<(CubeId, Vec<Dimension>, Arc<CubeBatch>)>,
+        prev_output: Arc<CubeBatch>,
+        affected: &FxHashSet<IKey>,
+        keep: impl Fn(&IKey) -> bool,
+    ) -> Result<CubeData, EvalError> {
+        let patch = eval_statement_batches(stmt, &self.pool, restricted)?;
+        let mut out = Arc::unwrap_or_clone(prev_output);
+        for k in affected {
+            if let Some(row) = out.row_of(k) {
+                out.swap_remove(row as usize);
+            }
+        }
+        for (k, v) in patch.iter() {
+            if keep(k) {
+                out.insert_overwrite(k.clone(), v);
+            }
+        }
+        Ok(CubeData::from_batch(out, self.pool.clone()))
+    }
 }
 
 /// Incrementally re-evaluate `stmt` against the current inputs in `env`,
@@ -174,8 +235,8 @@ fn shift_key(key: &[DimValue], chain: &[(usize, i64)], sign: i64) -> Option<DimT
 /// Returns `Ok(None)` when the statement is not eligible (whole-cube
 /// operators, unmapped shift dimensions, missing previous inputs, or a
 /// delta too large for patching to pay off) — the caller falls back to
-/// [`eval_statement`]. `Ok(Some(out))` is bit-identical to
-/// `eval_statement(stmt, env)`.
+/// [`eval_statement`](crate::eval_statement). `Ok(Some(out))` is
+/// bit-identical to `eval_statement(stmt, env)`.
 pub fn eval_statement_delta(
     stmt: &Statement,
     env: &Dataset,
@@ -189,30 +250,38 @@ pub fn eval_statement_delta(
 
     // per-cube deltas between the previous and current inputs
     let refs = stmt.expr.cube_refs();
-    let mut deltas: FxHashMap<CubeId, Vec<DimTuple>> = FxHashMap::default();
+    let mut work = Work {
+        pool: Arc::default(),
+        inputs: FxHashMap::default(),
+    };
+    let mut deltas: FxHashMap<CubeId, Vec<IKey>> = FxHashMap::default();
     let mut total_rows = 0usize;
     for id in &refs {
-        let Some(cur) = env.data(id) else {
+        let Some(cur) = env.get(id) else {
             return Ok(None);
         };
         let Some(prev) = prev_inputs.get(id) else {
             return Ok(None);
         };
-        total_rows += cur.len();
-        let delta = changed_keys(prev, cur);
+        total_rows += cur.data.len();
+        let cur_batch = cur.data.batch_in(&mut work.pool);
+        let delta = changed_ikeys(&prev.batch_in(&mut work.pool), &cur_batch);
         if !delta.is_empty() {
             deltas.insert(id.clone(), delta);
         }
+        work.inputs
+            .insert(id.clone(), (cur.schema.dims.clone(), cur_batch));
     }
     if deltas.is_empty() {
         // inputs are bit-identical to the previous run: the previous
         // output *is* the answer
         return Ok(Some(prev_output.clone()));
     }
+    let prev_output = prev_output.batch_in(&mut work.pool);
 
     match shape {
-        DeltaShape::Keyed => eval_keyed(stmt, env, &deltas, prev_output, total_rows),
-        DeltaShape::Grouped => eval_grouped(stmt, env, &deltas, prev_output),
+        DeltaShape::Keyed => eval_keyed(stmt, env, &work, &deltas, prev_output, total_rows),
+        DeltaShape::Grouped => eval_grouped(stmt, env, &work, &deltas, prev_output),
         DeltaShape::Full => unreachable!("rejected above"),
     }
 }
@@ -221,8 +290,9 @@ pub fn eval_statement_delta(
 fn eval_keyed(
     stmt: &Statement,
     env: &Dataset,
-    deltas: &FxHashMap<CubeId, Vec<DimTuple>>,
-    prev_output: &CubeData,
+    work: &Work,
+    deltas: &FxHashMap<CubeId, Vec<IKey>>,
+    prev_output: Arc<CubeBatch>,
     total_rows: usize,
 ) -> Result<Option<CubeData>, EvalError> {
     let mut leaves = Vec::new();
@@ -232,7 +302,7 @@ fn eval_keyed(
 
     // affected output keys: forward images of every changed key through
     // every occurrence of its cube
-    let mut affected: FxHashSet<DimTuple> = FxHashSet::default();
+    let mut affected: FxHashSet<IKey> = FxHashSet::default();
     for leaf in &leaves {
         let Some(delta) = deltas.get(&leaf.id) else {
             continue;
@@ -256,46 +326,40 @@ fn eval_keyed(
     }
 
     // restrict every input to the preimages of the affected keys
-    let mut renv = Dataset::new();
+    let mut restricted = Vec::new();
     for id in stmt.expr.cube_refs() {
-        let cube = env.get(&id).expect("checked by caller");
-        let mut r = CubeData::new();
+        let (dims, cur) = &work.inputs[&id];
+        let mut r = CubeBatch::new();
         for leaf in leaves.iter().filter(|l| l.id == id) {
             for out_k in &affected {
                 // no preimage = no input row can land on this key
                 if let Some(ik) = shift_key(out_k, &leaf.chain, -1) {
-                    if let Some(v) = cube.data.get(&ik) {
+                    if let Some(v) = cur.get(&ik) {
                         r.insert_overwrite(ik, v);
                     }
                 }
             }
         }
-        renv.put(Cube::new(cube.schema.clone(), r));
+        restricted.push((id, dims.clone(), Arc::new(r)));
     }
 
-    let patch = eval_statement(stmt, &renv)?;
-    let mut out = prev_output.clone();
-    for k in &affected {
-        out.remove(k);
-    }
-    for (k, v) in patch.iter() {
-        // the restricted inputs are complete only for the affected keys;
-        // a key outside the set (e.g. an outer join defaulting where a
-        // partner row was restricted away) is computed from partial
-        // inputs and must NOT overwrite its still-correct previous value
-        if affected.contains(k) {
-            out.insert_overwrite(k.clone(), v);
-        }
-    }
-    Ok(Some(out))
+    // the restricted inputs are complete only for the affected keys; a
+    // key outside the set (e.g. an outer join defaulting where a partner
+    // row was restricted away) is computed from partial inputs and must
+    // NOT overwrite its still-correct previous value
+    work.patch(stmt, restricted, prev_output, &affected, |k| {
+        affected.contains(k)
+    })
+    .map(Some)
 }
 
 /// Grouped patch: replay the touched groups with their complete bags.
 fn eval_grouped(
     stmt: &Statement,
     env: &Dataset,
-    deltas: &FxHashMap<CubeId, Vec<DimTuple>>,
-    prev_output: &CubeData,
+    work: &Work,
+    deltas: &FxHashMap<CubeId, Vec<IKey>>,
+    prev_output: Arc<CubeBatch>,
 ) -> Result<Option<CubeData>, EvalError> {
     let Expr::Aggregate { arg, group_by, .. } = &stmt.expr else {
         unreachable!("classified as Grouped");
@@ -314,10 +378,10 @@ fn eval_grouped(
     };
     // a key the group-by rejects (wrong arity, non-time value where the
     // schema promised one) bails to the cold path, which raises the error
-    let group_of = |k: &DimTuple| -> Option<DimTuple> {
+    let group_of = |k: &IKey| -> Option<IKey> {
         parts
             .iter()
-            .map(|p| part_value(p, k).ok().map(std::borrow::Cow::into_owned))
+            .map(|p| part_idim(p, k, &work.pool).ok())
             .collect()
     };
 
@@ -327,7 +391,7 @@ fn eval_grouped(
     }
 
     // touched groups: group keys of the forward images of changed keys
-    let mut affected: FxHashSet<DimTuple> = FxHashSet::default();
+    let mut affected: FxHashSet<IKey> = FxHashSet::default();
     for leaf in &leaves {
         let Some(delta) = deltas.get(&leaf.id) else {
             continue;
@@ -344,42 +408,39 @@ fn eval_grouped(
 
     // restrict every input to the rows whose forward image lands in a
     // touched group — the touched groups' complete bags, nothing else
-    let mut renv = Dataset::new();
+    let mut restricted = Vec::new();
     for id in arg.cube_refs() {
-        let cube = env.get(&id).expect("checked by caller");
+        let (dims, cur) = &work.inputs[&id];
         let chains: Vec<&Leaf> = leaves.iter().filter(|l| l.id == id).collect();
-        let mut r = CubeData::new();
-        for (k, v) in cube.data.iter() {
+        let mut r = CubeBatch::new();
+        for (k, v) in cur.iter() {
             for leaf in &chains {
-                let Some(g) = shift_key(k, &leaf.chain, 1).as_ref().and_then(&group_of) else {
+                let Some(g) = shift_key(k, &leaf.chain, 1).and_then(|out_k| group_of(&out_k))
+                else {
                     // the cold path would reject this row
                     return Ok(None);
                 };
                 if affected.contains(&g) {
-                    r.insert_overwrite(k.clone(), v);
+                    r.push(k.clone(), v);
                     break;
                 }
             }
         }
-        renv.put(Cube::new(cube.schema.clone(), r));
+        restricted.push((id, dims.clone(), Arc::new(r)));
     }
 
-    let patch = eval_statement(stmt, &renv)?;
-    let mut out = prev_output.clone();
-    for g in &affected {
-        out.remove(g);
-    }
-    for (k, v) in patch.iter() {
-        out.insert_overwrite(k.clone(), v);
-    }
-    Ok(Some(out))
+    work.patch(stmt, restricted, prev_output, &affected, |_| true)
+        .map(Some)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::eval_statement;
     use exl_lang::{analyze, parse_program};
     use exl_model::time::TimePoint;
+    use exl_model::value::DimValue;
+    use exl_model::Cube;
 
     fn q(y: i32, n: u32) -> DimValue {
         DimValue::Time(TimePoint::Quarter {

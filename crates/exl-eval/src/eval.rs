@@ -1,12 +1,13 @@
 //! Expression and program evaluation.
 //!
-//! The evaluator executes on columnar batches ([`CubeBatch`]): each run
-//! owns an [`EvalSession`] with a run-local [`DimPool`], every operand
-//! cube is interned into a batch once, and derived batches cross
-//! statement boundaries as-is — downstream statements probe and group on
-//! flat `Copy` keys without re-hashing strings or materializing
-//! intermediate hash maps of [`DimTuple`]s. Hash-stored [`CubeData`] is
-//! produced only at the session boundary ([`EvalSession::resolve`]).
+//! The evaluator executes on columnar batches ([`CubeBatch`]), the storage
+//! of [`CubeData`] itself: each run owns an [`EvalSession`] that adopts
+//! its inputs' [`DimPool`] and shares their batches (remapping symbols
+//! only for an input keyed in an incompatible pool), and derived batches
+//! cross statement boundaries as-is — downstream statements probe and
+//! group on flat `Copy` keys without re-hashing strings. Results leave
+//! the session as [`CubeData`] by sharing the batch and the session's
+//! pool ([`EvalSession::resolve`]); nothing is converted to tuples.
 //!
 //! Aggregation runs as a mergeable state machine
 //! ([`exl_stats::state::AggState`]): partitioned workers fold local
@@ -26,6 +27,7 @@
 
 use std::borrow::Cow;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use exl_lang::analyze::AnalyzedProgram;
 use exl_lang::ast::{Expr, GroupKey, JoinPolicy, Statement};
@@ -34,8 +36,7 @@ use exl_model::hash::{FxHashMap, FxHasher};
 use exl_model::intern::{DimPool, IDim, IKey};
 use exl_model::schema::{CubeId, Dimension};
 use exl_model::time::Frequency;
-use exl_model::value::DimValue;
-use exl_model::{Cube, CubeData, Dataset, DimTuple};
+use exl_model::{Cube, CubeData, Dataset};
 use exl_stats::descriptive::AggFn;
 use exl_stats::seriesop::SeriesOp;
 use exl_stats::state::{AggState, ExactState};
@@ -121,25 +122,27 @@ pub fn series_period(freq: Frequency) -> usize {
     exl_model::TimePoint::periods_per_year(freq)
 }
 
-/// One evaluation run's working set: a run-local interning pool plus the
-/// columnar batch of every cube loaded or derived so far.
+/// One evaluation run's working set: the pool every key of the run is
+/// interned in plus the columnar batch of every cube loaded or derived
+/// so far.
 ///
 /// The engine's dispatcher keeps one session per recomputation and feeds
 /// each statement's result to the next without leaving the interned
 /// representation; [`run_program`] does the same internally. Loading is
-/// idempotent per id (a reload replaces the batch), and
-/// [`EvalSession::resolve`] converts a batch back to hash storage at the
-/// boundary.
+/// idempotent per id (a reload replaces the batch) and shares the input's
+/// batch whenever its pool agrees with the session's; the pool only ever
+/// grows by appending, so every batch stays valid in it and
+/// [`EvalSession::resolve`] hands results out by sharing.
 #[derive(Debug, Default)]
 pub struct EvalSession {
-    pub(crate) pool: DimPool,
+    pub(crate) pool: Arc<DimPool>,
     pub(crate) cubes: FxHashMap<CubeId, SessionCube>,
 }
 
 #[derive(Debug)]
 pub(crate) struct SessionCube {
     pub(crate) dims: Vec<Dimension>,
-    pub(crate) batch: CubeBatch,
+    pub(crate) batch: Arc<CubeBatch>,
 }
 
 impl EvalSession {
@@ -148,10 +151,11 @@ impl EvalSession {
         EvalSession::default()
     }
 
-    /// Intern a cube's data into the session, replacing any batch already
-    /// stored under `id`.
+    /// Bring a cube's data into the session, replacing any batch already
+    /// stored under `id`: shared as-is when its pool agrees with the
+    /// session's (see [`CubeData::batch_in`]), remapped otherwise.
     pub fn load(&mut self, id: CubeId, dims: Vec<Dimension>, data: &CubeData) {
-        let batch = CubeBatch::from_data(data, &mut self.pool);
+        let batch = data.batch_in(&mut self.pool);
         self.cubes.insert(id, SessionCube { dims, batch });
     }
 
@@ -175,14 +179,22 @@ impl EvalSession {
             batch.len() as u64,
             exl_fault::govern::approx_cube_bytes(batch.len() as u64, dims.len() as u64),
         );
-        self.cubes
-            .insert(stmt.target.clone(), SessionCube { dims, batch });
+        self.cubes.insert(
+            stmt.target.clone(),
+            SessionCube {
+                dims,
+                batch: Arc::new(batch),
+            },
+        );
         Ok(())
     }
 
-    /// Resolve a loaded or derived cube back to hash-stored data.
+    /// A loaded or derived cube as cube data, sharing its batch and the
+    /// session's pool.
     pub fn resolve(&self, id: &CubeId) -> Option<CubeData> {
-        self.cubes.get(id).map(|c| c.batch.to_data(&self.pool))
+        self.cubes
+            .get(id)
+            .map(|c| CubeData::from_shared(c.batch.clone(), self.pool.clone()))
     }
 }
 
@@ -258,8 +270,8 @@ pub fn run_program_unfused(
         env.put(checked);
     }
     // last statement index referencing each cube: a batch whose last
-    // reader has run is dead weight (its hash storage already lives in
-    // `env`), and evicting it keeps the session's footprint proportional
+    // reader has run is dead weight to the session (`env` keeps its own
+    // share), and evicting it keeps the session's footprint proportional
     // to the program's live width instead of its length
     let mut last_use: FxHashMap<CubeId, usize> = FxHashMap::default();
     for (i, stmt) in analyzed.program.statements.iter().enumerate() {
@@ -319,7 +331,7 @@ fn run_program_fused(
 
     // interior node results live here until their last consuming
     // statement has run; sources resolve straight from the session
-    let mut store: Vec<Option<CubeBatch>> = (0..plan.nodes.len()).map(|_| None).collect();
+    let mut store: Vec<Option<Arc<CubeBatch>>> = (0..plan.nodes.len()).map(|_| None).collect();
     let mut stats = plan.stats;
     let threads = workers();
     let mut cursor = 0usize;
@@ -337,7 +349,8 @@ fn run_program_fused(
                     let mut probes: Vec<(plan::NodeId, &CubeBatch)> = Vec::new();
                     for step in &sr.steps {
                         if let Step::Probe { input, .. } = step {
-                            probes.push((*input, resolve_node(&plan, &store, &session, *input)?));
+                            probes
+                                .push((*input, &**resolve_node(&plan, &store, &session, *input)?));
                         }
                     }
                     let rows = base.len() as u64;
@@ -387,16 +400,18 @@ fn run_program_fused(
                     series_batch(*op, &plan.dims[*arg], batch, &session.pool, threads)?
                 }
             };
-            store[region.out()] = Some(out);
+            store[region.out()] = Some(Arc::new(out));
             cursor += 1;
         }
         let (_, root) = plan.roots[i];
-        let batch = resolve_node(&plan, &store, &session, root)?;
+        let batch = resolve_node(&plan, &store, &session, root)?.clone();
         exl_fault::govern::charge(
             batch.len() as u64,
             exl_fault::govern::approx_cube_bytes(batch.len() as u64, plan.dims[root].len() as u64),
         );
-        let data = batch.to_data(&session.pool);
+        // the result leaves by sharing: the store keeps its handle for
+        // later consumers, `env` gets the other
+        let data = CubeData::from_shared(batch, session.pool.clone());
         let schema = analyzed.schemas[&stmt.target].clone();
         env.put(Cube::new(schema, data));
         session
@@ -411,14 +426,14 @@ fn run_program_fused(
     Ok((env, stats))
 }
 
-/// Borrow the batch a plan node resolved to: sources live in the
-/// session, every other node in the region store.
+/// The batch a plan node resolved to: sources live in the session,
+/// every other node in the region store.
 fn resolve_node<'a>(
     plan: &crate::plan::CompiledPlan,
-    store: &'a [Option<CubeBatch>],
+    store: &'a [Option<Arc<CubeBatch>>],
     session: &'a EvalSession,
     n: crate::plan::NodeId,
-) -> Result<&'a CubeBatch, EvalError> {
+) -> Result<&'a Arc<CubeBatch>, EvalError> {
     match &plan.nodes[n] {
         crate::plan::CNode::Source(id) => {
             session
@@ -449,6 +464,28 @@ pub fn eval_statement(stmt: &Statement, env: &Dataset) -> Result<CubeData, EvalE
     Ok(session.resolve(&stmt.target).expect("target just derived"))
 }
 
+/// Evaluate one statement over batches already keyed in `pool` (the
+/// delta kernels' restricted inputs), returning the result batch.
+pub(crate) fn eval_statement_batches(
+    stmt: &Statement,
+    pool: &Arc<DimPool>,
+    inputs: Vec<(CubeId, Vec<Dimension>, Arc<CubeBatch>)>,
+) -> Result<Arc<CubeBatch>, EvalError> {
+    let mut session = EvalSession {
+        pool: pool.clone(),
+        ..EvalSession::default()
+    };
+    for (id, dims, batch) in inputs {
+        session.cubes.insert(id, SessionCube { dims, batch });
+    }
+    session.eval(stmt)?;
+    Ok(session
+        .cubes
+        .remove(&stmt.target)
+        .expect("target just derived")
+        .batch)
+}
+
 /// Evaluation result of an expression: a bare scalar or a batch with its
 /// dimensions. Cube operands borrow straight from the session.
 enum BVal<'a> {
@@ -468,7 +505,7 @@ fn eval_expr<'a>(expr: &Expr, s: &'a EvalSession) -> Result<BVal<'a>, EvalError>
             })?;
             Ok(BVal::Batch {
                 dims: cube.dims.clone(),
-                batch: Cow::Borrowed(&cube.batch),
+                batch: Cow::Borrowed(&*cube.batch),
             })
         }
         Expr::Unary { op, arg } => match eval_expr(arg, s)? {
@@ -539,7 +576,7 @@ fn eval_expr<'a>(expr: &Expr, s: &'a EvalSession) -> Result<BVal<'a>, EvalError>
                         })
                     }
                 };
-                match std::sync::Arc::get_mut(k) {
+                match Arc::get_mut(k) {
                     Some(slice) => slice[idx] = shifted,
                     None => {
                         let mut fresh: Vec<IDim> = k.iter().copied().collect();
@@ -815,7 +852,7 @@ fn bad_group_time(detail: String) -> EvalError {
 /// kernels hash and compare. Data that skipped validation (delta paths)
 /// can hold non-time values or non-coarsenable points where the schema
 /// promised otherwise; both surface as typed errors.
-fn part_idim(part: &KeyPart, key: &[IDim], pool: &DimPool) -> Result<IDim, EvalError> {
+pub(crate) fn part_idim(part: &KeyPart, key: &[IDim], pool: &DimPool) -> Result<IDim, EvalError> {
     let fetch = |i: usize| {
         key.get(i)
             .copied()
@@ -837,32 +874,6 @@ fn part_idim(part: &KeyPart, key: &[IDim], pool: &DimPool) -> Result<IDim, EvalE
                 pool.resolve_value(other)
             ))),
         },
-    }
-}
-
-/// [`part_idim`]'s [`DimValue`]-level twin, used by the delta kernels to
-/// compute group keys of tuple-level forward images.
-pub(crate) fn part_value<'r>(
-    part: &KeyPart,
-    t: &'r DimTuple,
-) -> Result<Cow<'r, DimValue>, EvalError> {
-    let fetch = |i: usize| {
-        t.get(i).ok_or_else(|| EvalError::InvalidStatement {
-            detail: format!("row has {} dimensions, group key needs index {i}", t.len()),
-        })
-    };
-    match part {
-        KeyPart::Dim(i) => Ok(Cow::Borrowed(fetch(*i)?)),
-        KeyPart::TimeMap { idx, target } => {
-            let v = fetch(*idx)?;
-            let tp = v
-                .as_time()
-                .ok_or_else(|| bad_group_time(format!("value {v} is not a time point")))?;
-            let c = tp.convert(*target).ok_or_else(|| {
-                bad_group_time(format!("time point {v} cannot be coarsened to {target:?}"))
-            })?;
-            Ok(Cow::Owned(DimValue::Time(c)))
-        }
     }
 }
 
@@ -1115,11 +1126,9 @@ pub fn aggregate_data(
     agg: AggFn,
     partitions: usize,
 ) -> Result<CubeData, EvalError> {
-    let mut pool = DimPool::new();
-    let batch = CubeBatch::from_data(data, &mut pool);
     let parts = key_parts(dims, group_by)?;
-    let out = aggregate_batch(&batch, &pool, &parts, agg, partitions)?;
-    Ok(out.to_data(&pool))
+    let out = aggregate_batch(data.batch(), data.pool(), &parts, agg, partitions)?;
+    Ok(CubeData::from_batch(out, data.pool().clone()))
 }
 
 /// Apply a black-box series operator to cube data: slice on the non-time
@@ -1131,10 +1140,8 @@ pub fn apply_series_op(
     dims: &[Dimension],
     data: &CubeData,
 ) -> Result<CubeData, EvalError> {
-    let mut pool = DimPool::new();
-    let batch = CubeBatch::from_data(data, &mut pool);
-    let out = series_batch(op, dims, &batch, &pool, workers())?;
-    Ok(out.to_data(&pool))
+    let out = series_batch(op, dims, data.batch(), data.pool(), workers())?;
+    Ok(CubeData::from_batch(out, data.pool().clone()))
 }
 
 /// Series-operator kernel over a batch: group row indices into slices by
@@ -1287,6 +1294,8 @@ mod tests {
     use exl_lang::{analyze, parse_program};
     use exl_model::schema::CubeId;
     use exl_model::time::{Date, TimePoint};
+    use exl_model::value::DimValue;
+    use exl_model::DimTuple;
 
     fn q(y: i32, n: u32) -> DimValue {
         DimValue::Time(TimePoint::Quarter {

@@ -295,19 +295,32 @@ impl RunBudget {
 /// Cloning shares both; [`child`](Governor::child) derives a child token
 /// over the *same* budget (budgets are per run, tokens per unit of
 /// work).
+///
+/// A governor also names its run ([`Governor::run`]): a fresh flight
+/// recorder run id per [`Governor::new`], shared by every child, so
+/// installing a governor on a worker thread tags that thread's flight
+/// events with the run that spawned the work.
 #[derive(Debug, Clone, Default)]
 pub struct Governor {
     token: CancelToken,
     budget: Arc<RunBudget>,
+    run: u64,
 }
 
 impl Governor {
-    /// Govern with `token` under `budget`.
+    /// Govern with `token` under `budget`, as a new run.
     pub fn new(token: CancelToken, budget: RunBudget) -> Governor {
         Governor {
             token,
             budget: Arc::new(budget),
+            run: exl_obs::flight::next_run_id(),
         }
+    }
+
+    /// The flight recorder run this governor belongs to (0 for a
+    /// detached governor).
+    pub fn run(&self) -> u64 {
+        self.run
     }
 
     /// An ungoverned governor: never cancelled, unlimited budget.
@@ -321,6 +334,7 @@ impl Governor {
         Governor {
             token: self.token.child(),
             budget: Arc::clone(&self.budget),
+            run: self.run,
         }
     }
 
@@ -369,7 +383,7 @@ thread_local! {
 /// Restores the previous ambient governor on drop.
 #[must_use = "the governor is uninstalled when the guard drops"]
 pub struct GovernorGuard {
-    _private: (),
+    _run: Option<exl_obs::flight::RunScope>,
 }
 
 impl Drop for GovernorGuard {
@@ -381,11 +395,14 @@ impl Drop for GovernorGuard {
 }
 
 /// Install `governor` as this thread's ambient governor until the guard
-/// drops. Worker threads must re-install explicitly: thread-locals do
-/// not propagate across `thread::spawn`/`thread::scope`.
+/// drops, entering its flight recorder run (a detached governor leaves
+/// the thread's run as it is). Worker threads must re-install
+/// explicitly: thread-locals do not propagate across
+/// `thread::spawn`/`thread::scope`.
 pub fn set_governor(governor: Governor) -> GovernorGuard {
+    let run = (governor.run != 0).then(|| exl_obs::flight::enter_run(governor.run));
     CURRENT.with(|c| c.borrow_mut().push(governor));
-    GovernorGuard { _private: () }
+    GovernorGuard { _run: run }
 }
 
 /// This thread's ambient governor, if one is installed (cloned — cheap,

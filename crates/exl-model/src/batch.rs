@@ -1,43 +1,44 @@
-//! Columnar batch view over cube data.
+//! Columnar storage of cube data.
 //!
-//! [`CubeBatch`] is the representation the hot evaluator path runs on:
-//! parallel `keys`/`measures` vectors over [`DimPool`]-interned keys —
-//! the same layout the chase's `Relation` uses — plus a *lazy* point
-//! index for O(1) probes. A batch is built once per cube per run
-//! (interning every key through the run's pool) and then crosses
-//! statement boundaries as-is: downstream statements operate on flat
-//! `Copy` keys without re-interning, re-hashing strings, or
-//! materializing intermediate hash maps of [`DimTuple`]s.
+//! [`CubeBatch`] is the one representation cube data has on the native
+//! path: parallel `keys`/`measures` vectors over [`DimPool`]-interned
+//! keys — the same layout the chase's `Relation` uses — plus a point
+//! index for O(1) probes. [`CubeData`] is a copy-on-write handle over a
+//! batch and the pool its keys live in, so a cube crosses catalog, run
+//! cache, evaluator and commit without ever being re-interned or
+//! resolved back to tuples.
 //!
 //! The index is built on the **first probe** ([`CubeBatch::get`] /
-//! [`CubeBatch::contains`]) and cached. Map-shaped operators — scalar
+//! [`CubeBatch::contains`] / [`CubeBatch::row_of`]) and then *maintained*:
+//! appends insert into it (growing the slot table at load factor ½) and
+//! [`CubeBatch::swap_remove`] fixes it up in place, so alternating probes
+//! and writes — the shape of every tuple-at-a-time loader and delta
+//! patch — stay O(1) per operation. Map-shaped operators — scalar
 //! arithmetic, shift, the streaming side of a join — only ever append
-//! rows, so their outputs never pay for a hash-map build at all; only a
-//! batch that is actually probed (the build side of a join) indexes
-//! itself, once, and keeps the index for every later probe in the run.
+//! rows, so their outputs never pay for an index at all.
 //!
-//! A batch, like [`CubeData`], is *functional*: one row per key.
-//! [`CubeBatch::push`] appends without checking, so **callers must push
-//! each key at most once** (every evaluator operator does: scalar maps
-//! preserve keys, shift is injective, join sides are disjoint, group
-//! keys are bucketed uniquely). If the contract is broken anyway, probes
-//! and [`CubeBatch::to_data`] agree on last-pushed-wins. Row order is
-//! the insertion order — deterministic for a given build and input, not
-//! sorted; sorting happens at the [`CubeBatch::to_data`] boundary's
-//! consumers, exactly as for hash-stored cubes.
+//! A batch is *functional*: one row per key. [`CubeBatch::push`] appends
+//! without checking, so **callers must push each key at most once**
+//! (every evaluator operator does: scalar maps preserve keys, shift is
+//! injective, join sides are disjoint, group keys are bucketed uniquely);
+//! [`CubeBatch::insert_overwrite`] is the checked variant. If the
+//! contract is broken anyway, probes agree on last-pushed-wins. Row order
+//! is the insertion order (with swap-removes moving the last row into
+//! the hole) — deterministic for a given build and input, not sorted;
+//! sorted boundaries go through [`CubeData::iter_sorted`].
 
 use std::hash::{Hash, Hasher};
 use std::sync::OnceLock;
 
-use crate::cube::{CubeData, DimTuple};
+use crate::cube::CubeData;
 use crate::hash::FxHasher;
-use crate::intern::{DimPool, IDim, IKey};
+use crate::intern::{remap_key, DimPool, IDim, IKey, Sym};
 
 /// Open-addressed point index over a batch's key column: power-of-two
 /// slot table of row numbers with linear probing, comparing candidate
 /// rows against the key column itself. Building it is one pass with zero
 /// per-key allocations (no key clones, unlike a `HashMap<IKey, u32>`).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct PointIndex {
     mask: usize,
     slots: Vec<u32>,
@@ -51,30 +52,85 @@ fn key_hash(key: &[IDim]) -> u64 {
     h.finish()
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Full index builds on this thread (initial builds and regrowths),
+    /// for the tests that pin incremental maintenance.
+    static INDEX_BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 impl PointIndex {
+    /// Index every row, with room for twice as many before regrowing.
     fn build(keys: &[IKey]) -> PointIndex {
+        #[cfg(test)]
+        INDEX_BUILDS.set(INDEX_BUILDS.get() + 1);
         let cap = (keys.len() * 2).next_power_of_two().max(4);
-        let mask = cap - 1;
-        let mut slots = vec![NO_SLOT; cap];
-        for (row, k) in keys.iter().enumerate() {
-            let mut i = key_hash(k) as usize & mask;
-            loop {
-                match slots[i] {
-                    NO_SLOT => {
-                        slots[i] = row as u32;
-                        break;
-                    }
-                    r if keys[r as usize] == *k => {
-                        // duplicate key (contract violation): last wins,
-                        // matching `to_data`'s insert_overwrite order
-                        slots[i] = row as u32;
-                        break;
-                    }
-                    _ => i = (i + 1) & mask,
-                }
+        let mut index = PointIndex {
+            mask: cap - 1,
+            slots: vec![NO_SLOT; cap],
+        };
+        for row in 0..keys.len() {
+            index.insert(row as u32, keys);
+        }
+        index
+    }
+
+    /// Index `row` (already present in `keys`). A row whose key is
+    /// already indexed replaces it — last wins, the duplicate-key rule.
+    fn insert(&mut self, row: u32, keys: &[IKey]) {
+        let k = &keys[row as usize];
+        let mut i = key_hash(k) as usize & self.mask;
+        loop {
+            match self.slots[i] {
+                NO_SLOT => break,
+                r if keys[r as usize] == *k => break,
+                _ => i = (i + 1) & self.mask,
             }
         }
-        PointIndex { mask, slots }
+        self.slots[i] = row;
+    }
+
+    /// Slot holding `row`, found by probing from its key's home slot.
+    fn slot_of(&self, row: u32, keys: &[IKey]) -> Option<usize> {
+        let mut i = key_hash(&keys[row as usize]) as usize & self.mask;
+        loop {
+            match self.slots[i] {
+                NO_SLOT => return None,
+                r if r == row => return Some(i),
+                _ => i = (i + 1) & self.mask,
+            }
+        }
+    }
+
+    /// Unindex `row` by backward-shift deletion: later members of the
+    /// probe run move up into the hole unless their home slot lies
+    /// cyclically after it, so no tombstones accumulate. `false` when
+    /// the row was not indexed (a shadowed duplicate).
+    fn remove(&mut self, row: u32, keys: &[IKey]) -> bool {
+        let Some(mut hole) = self.slot_of(row, keys) else {
+            return false;
+        };
+        let mut j = hole;
+        loop {
+            j = (j + 1) & self.mask;
+            let r = self.slots[j];
+            if r == NO_SLOT {
+                break;
+            }
+            let home = key_hash(&keys[r as usize]) as usize & self.mask;
+            // `r` may fill the hole unless its home is in (hole, j]
+            let stays = if hole <= j {
+                hole < home && home <= j
+            } else {
+                hole < home || home <= j
+            };
+            if !stays {
+                self.slots[hole] = r;
+                hole = j;
+            }
+        }
+        self.slots[hole] = NO_SLOT;
+        true
     }
 
     fn lookup(&self, key: &[IDim], keys: &[IKey]) -> Option<u32> {
@@ -90,7 +146,8 @@ impl PointIndex {
 }
 
 /// A cube's payload in columnar form: parallel key/measure vectors over
-/// interned keys, with a lazily built key → row point index.
+/// interned keys, with a lazily built, incrementally maintained key →
+/// row point index.
 #[derive(Debug, Default)]
 pub struct CubeBatch {
     keys: Vec<IKey>,
@@ -99,13 +156,18 @@ pub struct CubeBatch {
 }
 
 impl Clone for CubeBatch {
-    /// Clones the columns only; the clone re-indexes on its first probe
-    /// (cloning a hash map of boxed keys costs more than rebuilding it).
+    /// Clones the columns and, when one was built, the index (a flat
+    /// slot table: copying it beats re-hashing every key on the clone's
+    /// first probe — the copy-on-write path of every revision).
     fn clone(&self) -> CubeBatch {
+        let index = OnceLock::new();
+        if let Some(ix) = self.index.get() {
+            let _ = index.set(ix.clone());
+        }
         CubeBatch {
             keys: self.keys.clone(),
             measures: self.measures.clone(),
-            index: OnceLock::new(),
+            index,
         }
     }
 }
@@ -132,23 +194,33 @@ impl CubeBatch {
         }
     }
 
-    /// Batch view of a cube: interns every key through `pool` in the
-    /// cube's storage order.
+    /// A cube's rows with keys valid in `pool`. When `pool` agrees with
+    /// the cube's own pool on every common symbol this is a column copy
+    /// (`pool` first gains any symbols it lacks); otherwise the cube's
+    /// strings are interned into `pool` and its keys remapped.
     pub fn from_data(data: &CubeData, pool: &mut DimPool) -> CubeBatch {
-        let mut batch = CubeBatch::with_capacity(data.len());
-        for (k, v) in data.iter() {
-            batch.push(pool.intern_tuple(k), v);
+        let own = data.pool();
+        if pool.compatible(own) {
+            if own.len() > pool.len() {
+                pool.extend_from(own);
+            }
+            return data.batch().clone();
         }
-        batch
+        data.batch().remap(&own.remap_into(pool))
     }
 
-    /// Resolve the batch back to hash-stored cube data.
+    /// Cube data over a copy of this batch, keyed in `pool`.
     pub fn to_data(&self, pool: &DimPool) -> CubeData {
-        let mut out = CubeData::with_capacity(self.len());
-        for (k, v) in self.iter() {
-            out.insert_overwrite(pool.resolve_tuple(k), v);
-        }
-        out
+        CubeData::from_batch(self.clone(), std::sync::Arc::new(pool.clone()))
+    }
+
+    /// The batch with every key's symbols rewritten through a
+    /// [`DimPool::remap_into`] table, rows in the same order.
+    pub fn remap(&self, map: &[Sym]) -> CubeBatch {
+        CubeBatch::from_columns(
+            self.keys.iter().map(|k| remap_key(k, map)).collect(),
+            self.measures.clone(),
+        )
     }
 
     /// Number of rows (= defined points; the batch is functional).
@@ -177,14 +249,12 @@ impl CubeBatch {
 
     /// Measure at a key, if defined. Builds the index on first use.
     pub fn get(&self, key: &[IDim]) -> Option<f64> {
-        self.index()
-            .lookup(key, &self.keys)
-            .map(|row| self.measures[row as usize])
+        self.row_of(key).map(|row| self.measures[row as usize])
     }
 
     /// True when the key is defined. Builds the index on first use.
     pub fn contains(&self, key: &[IDim]) -> bool {
-        self.index().lookup(key, &self.keys).is_some()
+        self.row_of(key).is_some()
     }
 
     /// Row position of a key, if defined. Builds the index on first use.
@@ -196,13 +266,51 @@ impl CubeBatch {
     }
 
     /// Append a row. The batch stays functional only if the caller never
-    /// pushes the same key twice (see the module doc); a previously built
-    /// index is discarded and rebuilt on the next probe.
+    /// pushes the same key twice (see the module doc). A built index is
+    /// kept up to date, regrowing when it passes load factor ½.
     pub fn push(&mut self, key: IKey, value: f64) {
-        u32::try_from(self.keys.len()).expect("batch row overflow");
+        let row = u32::try_from(self.keys.len()).expect("batch row overflow");
         self.keys.push(key);
         self.measures.push(value);
-        self.index.take();
+        if let Some(ix) = self.index.get_mut() {
+            if self.keys.len() * 2 > ix.slots.len() {
+                *ix = PointIndex::build(&self.keys);
+            } else {
+                ix.insert(row, &self.keys);
+            }
+        }
+    }
+
+    /// Set the measure at `key`, appending a row when the key is new.
+    /// Builds the index on first use.
+    pub fn insert_overwrite(&mut self, key: IKey, value: f64) {
+        match self.row_of(&key) {
+            Some(row) => self.measures[row as usize] = value,
+            None => self.push(key, value),
+        }
+    }
+
+    /// Remove row `row`, moving the last row into its place, and return
+    /// its key and measure. A built index is fixed up in place.
+    ///
+    /// # Panics
+    /// Panics when `row` is out of bounds.
+    pub fn swap_remove(&mut self, row: usize) -> (IKey, f64) {
+        let last = self.keys.len() - 1;
+        if let Some(ix) = self.index.get_mut() {
+            let fixed = ix.remove(row as u32, &self.keys)
+                && (row == last || {
+                    let moved = ix.slot_of(last as u32, &self.keys);
+                    moved.map(|slot| ix.slots[slot] = row as u32).is_some()
+                });
+            if !fixed {
+                // a shadowed duplicate (broken contract): rebuild lazily
+                self.index.take();
+            }
+        }
+        let key = self.keys.swap_remove(row);
+        let value = self.measures.swap_remove(row);
+        (key, value)
     }
 
     /// Adopt fully built key/measure columns in one move — the bulk
@@ -247,8 +355,9 @@ impl CubeBatch {
     }
 
     /// Mutable key column, for key-rewriting operators (shift) that are
-    /// injective on keys. The caller must keep keys unique; any built
-    /// index is discarded.
+    /// injective on keys. The caller must keep keys unique. Every key may
+    /// change, so a built index is discarded (it is rebuilt, once, on the
+    /// next probe).
     pub fn keys_mut(&mut self) -> &mut [IKey] {
         self.index.take();
         &mut self.keys
@@ -279,8 +388,8 @@ impl CubeBatch {
         self.keys.iter().zip(self.measures.iter().copied())
     }
 
-    /// Resolve one row's key to an owned [`DimTuple`].
-    pub fn resolve_row(&self, row: usize, pool: &DimPool) -> DimTuple {
+    /// Resolve one row's key to an owned [`DimTuple`](crate::DimTuple).
+    pub fn resolve_row(&self, row: usize, pool: &DimPool) -> crate::DimTuple {
         pool.resolve_tuple(&self.keys[row])
     }
 }
@@ -346,6 +455,95 @@ mod tests {
         batch.push(k2.clone(), 2.0);
         assert_eq!(batch.get(&k2), Some(2.0)); // rebuilt, sees the append
         assert_eq!(batch.len(), 2);
+    }
+
+    fn ikey(i: i64) -> IKey {
+        vec![IDim::Int(i), IDim::Int(i % 7)].into()
+    }
+
+    #[test]
+    fn alternating_probe_and_append_keeps_the_index() {
+        let n = 4096;
+        let mut batch = CubeBatch::new();
+        INDEX_BUILDS.set(0);
+        for i in 0..n {
+            // every append follows a probe: a discarded index would be
+            // rebuilt n times, a maintained one only on regrowth
+            assert_eq!(batch.get(&ikey(i)), None);
+            batch.push(ikey(i), i as f64);
+        }
+        let builds = INDEX_BUILDS.get();
+        assert!(
+            builds <= 2 + (n as f64).log2() as usize,
+            "{builds} index builds for {n} appends"
+        );
+        for i in 0..n {
+            assert_eq!(batch.get(&ikey(i)), Some(i as f64));
+        }
+        assert_eq!(INDEX_BUILDS.get(), builds, "probes rebuilt the index");
+    }
+
+    #[test]
+    fn swap_remove_fixes_the_index_in_place() {
+        let mut batch = CubeBatch::new();
+        for i in 0..200 {
+            batch.push(ikey(i), i as f64);
+        }
+        batch.ensure_indexed();
+        INDEX_BUILDS.set(0);
+        // remove every third key, from the front, the middle and the back
+        for i in (0..200).step_by(3) {
+            let row = batch.row_of(&ikey(i)).unwrap() as usize;
+            let (k, v) = batch.swap_remove(row);
+            assert_eq!((k, v), (ikey(i), i as f64));
+        }
+        assert_eq!(INDEX_BUILDS.get(), 0, "swap_remove rebuilt the index");
+        for i in 0..200 {
+            let want = (i % 3 != 0).then_some(i as f64);
+            assert_eq!(batch.get(&ikey(i)), want, "key {i}");
+        }
+        assert_eq!(batch.len(), 200 - (0..200).step_by(3).count());
+        // overwrite and re-insert through the maintained index
+        batch.insert_overwrite(ikey(1), -1.0);
+        batch.insert_overwrite(ikey(0), -2.0);
+        assert_eq!(batch.get(&ikey(1)), Some(-1.0));
+        assert_eq!(batch.get(&ikey(0)), Some(-2.0));
+        assert_eq!(INDEX_BUILDS.get(), 0);
+    }
+
+    #[test]
+    fn clone_carries_a_built_index() {
+        let mut batch = CubeBatch::new();
+        for i in 0..100 {
+            batch.push(ikey(i), i as f64);
+        }
+        batch.ensure_indexed();
+        INDEX_BUILDS.set(0);
+        let mut copy = batch.clone();
+        copy.insert_overwrite(ikey(5), 0.5);
+        assert_eq!(copy.get(&ikey(5)), Some(0.5));
+        assert_eq!(batch.get(&ikey(5)), Some(5.0));
+        assert_eq!(INDEX_BUILDS.get(), 0);
+    }
+
+    #[test]
+    fn from_data_shares_or_remaps_keys_by_pool_compatibility() {
+        let data = sample();
+        // an empty (or compatible) pool adopts the cube's symbols: keys
+        // are shared, not re-interned
+        let mut pool = DimPool::new();
+        let batch = CubeBatch::from_data(&data, &mut pool);
+        assert!(std::sync::Arc::ptr_eq(
+            &batch.keys()[0],
+            &data.batch().keys()[0]
+        ));
+        assert_eq!(batch.to_data(&pool), data);
+        // an incompatible pool gets the strings interned and keys remapped
+        let mut other = DimPool::new();
+        other.intern("zzz");
+        let remapped = CubeBatch::from_data(&data, &mut other);
+        assert_eq!(remapped.to_data(&other), data);
+        assert_eq!(other.len(), pool.len() + 1);
     }
 
     #[test]

@@ -1,22 +1,34 @@
 //! Cube instances: finite, functional sets of cube tuples.
 //!
-//! A [`CubeData`] stores the graph of the partial function the cube denotes
-//! as a hash map from dimension tuples to the measure. The map
-//! representation makes the functional egd of §4 hold *by construction* —
-//! the chase crate deliberately does not use this type for its running
-//! instance, so that egd checking is real work there.
+//! A [`CubeData`] is the graph of the partial function a cube denotes,
+//! stored as one interned columnar [`CubeBatch`] plus the [`DimPool`] its
+//! keys are interned in — the representation the native evaluator runs
+//! on, so a cube moves from catalog through the run cache, the evaluator
+//! and the commit without a change of representation. Both parts sit
+//! behind `Arc`s with copy-on-write mutation: cloning a cube bumps two
+//! refcounts, writers deep-copy only what is actually shared, and every
+//! cube derived in one run shares that run's pool. The point index of the
+//! batch makes the functional egd of §4 hold *by construction* on every
+//! tuple-level write — the chase crate deliberately does not use this
+//! type for its running instance, so that egd checking is real work
+//! there.
 //!
-//! Storage is hashed (fast point lookups and inserts on the hot paths);
-//! every boundary where ordering is observable — serialization, display,
-//! diffs, [`CubeData::to_tuples`], [`CubeData::iter_sorted`] — sorts by the
+//! Tuple-level access ([`CubeData::get`], [`CubeData::insert`],
+//! [`CubeData::iter`], …) interns or resolves per call; it serves
+//! serialization, CSV, the non-native backends and tests. Every boundary
+//! where ordering is observable — serialization, display, diffs,
+//! [`CubeData::to_tuples`], [`CubeData::iter_sorted`] — sorts by the
 //! dimension tuple's total order, so exported artifacts are byte-identical
-//! to what the previous `BTreeMap` representation produced. Use
-//! [`CubeData::iter`] only where order genuinely does not matter.
+//! to what a `BTreeMap` representation would produce whatever the pool's
+//! symbol order. Equality, [`Fingerprint`](crate::Fingerprint)s and
+//! serialization are pool-independent.
 
 use std::fmt;
+use std::sync::Arc;
 
+use crate::batch::CubeBatch;
 use crate::error::ModelError;
-use crate::hash::FxHashMap;
+use crate::intern::{cmp_ranked, DimPool, IDim};
 use crate::schema::CubeSchema;
 use crate::value::DimValue;
 
@@ -24,15 +36,12 @@ use crate::value::DimValue;
 pub type DimTuple = Vec<DimValue>;
 
 /// The data of one cube: a finite partial function from dimension tuples to
-/// an `f64` measure.
-///
-/// The entry map is shared (`Arc`) with copy-on-write mutation: cloning a
-/// cube — which evaluation does for every input it returns — bumps a
-/// refcount, and writers pay for a deep copy only when the map is actually
-/// shared (never on freshly built cubes).
-#[derive(Debug, Clone, PartialEq, Default)]
+/// an `f64` measure, stored as an interned columnar batch (see the module
+/// doc).
+#[derive(Clone, Default)]
 pub struct CubeData {
-    entries: std::sync::Arc<FxHashMap<DimTuple, f64>>,
+    batch: Arc<CubeBatch>,
+    pool: Arc<DimPool>,
 }
 
 impl CubeData {
@@ -43,12 +52,46 @@ impl CubeData {
 
     /// Empty cube with room for `n` tuples.
     pub fn with_capacity(n: usize) -> CubeData {
-        CubeData {
-            entries: std::sync::Arc::new(FxHashMap::with_capacity_and_hasher(
-                n,
-                Default::default(),
-            )),
+        CubeData::from_batch(CubeBatch::with_capacity(n), Arc::default())
+    }
+
+    /// Cube data over a batch whose keys are interned in `pool`. The batch
+    /// must be functional (one row per key), as every evaluator kernel's
+    /// output is.
+    pub fn from_batch(batch: CubeBatch, pool: Arc<DimPool>) -> CubeData {
+        CubeData::from_shared(Arc::new(batch), pool)
+    }
+
+    /// [`CubeData::from_batch`] over an already shared batch.
+    pub fn from_shared(batch: Arc<CubeBatch>, pool: Arc<DimPool>) -> CubeData {
+        CubeData { batch, pool }
+    }
+
+    /// The columnar storage.
+    pub fn batch(&self) -> &CubeBatch {
+        &self.batch
+    }
+
+    /// The pool the batch's keys are interned in.
+    pub fn pool(&self) -> &Arc<DimPool> {
+        &self.pool
+    }
+
+    /// This cube's batch with keys valid in `pool`. When the pools agree
+    /// on every common symbol the batch is shared as-is — and `pool`
+    /// adopts this cube's pool if that is the longer one, which keeps
+    /// every key already valid in `pool` valid. Otherwise this cube's
+    /// strings are interned into `pool` (copy-on-write) and its keys
+    /// remapped: O(distinct strings) plus an integer rewrite per row.
+    pub fn batch_in(&self, pool: &mut Arc<DimPool>) -> Arc<CubeBatch> {
+        if Arc::ptr_eq(pool, &self.pool) || pool.compatible(&self.pool) {
+            if self.pool.len() > pool.len() {
+                *pool = self.pool.clone();
+            }
+            return self.batch.clone();
         }
+        let map = self.pool.remap_into(Arc::make_mut(pool));
+        Arc::new(self.batch.remap(&map))
     }
 
     /// Build from an iterator of `(dimension tuple, measure)` pairs.
@@ -67,21 +110,50 @@ impl CubeData {
         Ok(data)
     }
 
+    /// Row of a tuple, if defined. Interns read-only: a tuple holding a
+    /// string the pool has never seen is undefined without a probe.
+    fn row_of(&self, key: &[DimValue]) -> Option<usize> {
+        const INLINE: usize = 8;
+        let mut buf = [IDim::Int(0); INLINE];
+        let row = if key.len() <= INLINE {
+            for (slot, v) in buf.iter_mut().zip(key) {
+                *slot = self.pool.lookup_value(v)?;
+            }
+            self.batch.row_of(&buf[..key.len()])
+        } else {
+            self.batch.row_of(&self.pool.lookup_tuple(key)?)
+        };
+        row.map(|r| r as usize)
+    }
+
+    /// Append a tuple known to be undefined, interning it (copy-on-write
+    /// on a shared pool only when it holds a new string).
+    fn push_new(&mut self, key: &[DimValue], value: f64) {
+        let ikey = match self.pool.lookup_tuple(key) {
+            Some(k) => k,
+            None => Arc::make_mut(&mut self.pool).intern_tuple(key),
+        };
+        Arc::make_mut(&mut self.batch).push(ikey, value);
+    }
+
     /// Insert one tuple. Fails with [`ModelError::FunctionalViolation`] when
     /// the point is already defined with a *different* measure; re-inserting
     /// the identical measure is a no-op (set semantics).
     pub fn insert(&mut self, key: DimTuple, value: f64) -> Result<(), ModelError> {
-        match self.entries.get(&key) {
-            Some(&old) if old.to_bits() != value.to_bits() => {
-                Err(ModelError::FunctionalViolation {
-                    key: format_tuple(&key),
-                    old,
-                    new: value,
-                })
+        match self.row_of(&key) {
+            Some(row) => {
+                let old = self.batch.measures()[row];
+                if old.to_bits() != value.to_bits() {
+                    return Err(ModelError::FunctionalViolation {
+                        key: format_tuple(&key),
+                        old,
+                        new: value,
+                    });
+                }
+                Ok(())
             }
-            Some(_) => Ok(()),
             None => {
-                std::sync::Arc::make_mut(&mut self.entries).insert(key, value);
+                self.push_new(&key, value);
                 Ok(())
             }
         }
@@ -90,90 +162,123 @@ impl CubeData {
     /// Insert, silently overwriting any previous value. Used by data
     /// loading paths that model "latest observation wins" revisions.
     pub fn insert_overwrite(&mut self, key: DimTuple, value: f64) {
-        std::sync::Arc::make_mut(&mut self.entries).insert(key, value);
+        match self.row_of(&key) {
+            Some(row) => Arc::make_mut(&mut self.batch).measures_mut()[row] = value,
+            None => self.push_new(&key, value),
+        }
     }
 
     /// Remove a point, returning its measure if it was defined. Used by
     /// vintage-update deltas that retract observations. A miss does not
-    /// trigger the copy-on-write clone.
+    /// trigger the copy-on-write clone. The last row moves into the
+    /// removed one's place.
     pub fn remove(&mut self, key: &[DimValue]) -> Option<f64> {
-        if !self.entries.contains_key(key) {
-            return None;
-        }
-        std::sync::Arc::make_mut(&mut self.entries).remove(key)
+        let row = self.row_of(key)?;
+        Some(Arc::make_mut(&mut self.batch).swap_remove(row).1)
     }
 
-    /// Address of the shared entry storage. Two cubes with equal
-    /// `storage_ptr` hold the *same* `Arc`'d map and are therefore equal;
-    /// the engine uses this for per-run fingerprint memoization (the memo
-    /// retains a clone of the cube, keeping the address alive and unique
-    /// for as long as the memo entry exists).
+    /// Address of the shared batch. Two cubes with equal `storage_ptr`
+    /// hold the *same* `Arc`'d batch and are therefore equal; the engine
+    /// uses this for per-run fingerprint memoization (the memo retains a
+    /// clone of the cube, keeping the address alive and unique for as
+    /// long as the memo entry exists).
     pub fn storage_ptr(&self) -> usize {
-        std::sync::Arc::as_ptr(&self.entries) as usize
+        Arc::as_ptr(&self.batch) as usize
     }
 
     /// Measure at a point, if defined.
     pub fn get(&self, key: &[DimValue]) -> Option<f64> {
-        self.entries.get(key).copied()
+        self.row_of(key).map(|row| self.batch.measures()[row])
     }
 
     /// Number of points on which the cube is defined.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.batch.len()
     }
 
     /// True when the cube is defined nowhere.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.batch.is_empty()
     }
 
-    /// Iterate in storage (hash) order — deterministic for a given
-    /// insertion sequence, but *not* sorted. Use only where order does
-    /// not matter; anything user-visible goes through
-    /// [`CubeData::iter_sorted`].
-    pub fn iter(&self) -> impl Iterator<Item = (&DimTuple, f64)> {
-        self.entries.iter().map(|(k, &v)| (k, v))
+    /// Iterate in row order, resolving each key to an owned tuple —
+    /// deterministic for a given build history, but *not* sorted. Use
+    /// only where order does not matter; anything user-visible goes
+    /// through [`CubeData::iter_sorted`], and hot paths read
+    /// [`CubeData::batch`] instead.
+    pub fn iter(&self) -> impl Iterator<Item = (DimTuple, f64)> + '_ {
+        self.batch
+            .iter()
+            .map(|(k, v)| (self.pool.resolve_tuple(k), v))
+    }
+
+    /// Row numbers in the dimension tuple's total order (strings by
+    /// contents, whatever the pool's symbol order).
+    pub fn sorted_rows(&self) -> Vec<u32> {
+        let ranks = self.pool.ranks();
+        let keys = self.batch.keys();
+        let mut rows: Vec<u32> = (0..keys.len() as u32).collect();
+        rows.sort_unstable_by(|&a, &b| cmp_ranked(&keys[a as usize], &keys[b as usize], &ranks));
+        rows
     }
 
     /// Iterate in the dimension tuple's total order. This is the sorted
     /// boundary: serialization, export, display, and backend loading all
-    /// observe this order, byte-identical to the former `BTreeMap`
-    /// storage.
-    pub fn iter_sorted(&self) -> impl Iterator<Item = (&DimTuple, f64)> {
-        let mut pairs: Vec<(&DimTuple, f64)> = self.entries.iter().map(|(k, &v)| (k, v)).collect();
-        pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        pairs.into_iter()
+    /// observe this order.
+    pub fn iter_sorted(&self) -> impl Iterator<Item = (DimTuple, f64)> + '_ {
+        self.sorted_rows().into_iter().map(|r| {
+            let r = r as usize;
+            (
+                self.batch.resolve_row(r, &self.pool),
+                self.batch.measures()[r],
+            )
+        })
     }
 
-    /// Sorted list of `(tuple, measure)` pairs, cloning keys.
+    /// Sorted list of `(tuple, measure)` pairs.
     pub fn to_tuples(&self) -> Vec<(DimTuple, f64)> {
-        self.iter_sorted().map(|(k, v)| (k.clone(), v)).collect()
+        self.iter_sorted().collect()
     }
 
     /// Project keys on the given dimension indices, deduplicating.
     pub fn project_keys(&self, indices: &[usize]) -> Vec<DimTuple> {
         let mut out: Vec<DimTuple> = self
-            .entries
+            .batch
             .keys()
-            .map(|k| indices.iter().map(|&i| k[i].clone()).collect())
+            .iter()
+            .map(|k| {
+                indices
+                    .iter()
+                    .map(|&i| self.pool.resolve_value(k[i]))
+                    .collect()
+            })
             .collect();
         out.sort_unstable();
         out.dedup();
         out
     }
 
+    /// True when every point of `self` is defined in `other` with a
+    /// measure `same` accepts. With equal lengths that is equality of
+    /// the two functions, whatever pools the keys live in.
+    fn matches(&self, other: &CubeData, same: impl Fn(f64, f64) -> bool) -> bool {
+        if self.len() != other.len() {
+            return false;
+        }
+        // keys valid in (an extension of) `other`'s pool: shared when the
+        // pools agree, remapped into a private copy otherwise
+        let mut pool = other.pool.clone();
+        let mine = self.batch_in(&mut pool);
+        let all = mine
+            .iter()
+            .all(|(k, v)| other.batch.get(k).is_some_and(|w| same(v, w)));
+        all
+    }
+
     /// Compare to another cube with relative tolerance on measures: same
     /// domain, approximately equal values. Used for cross-backend checks.
     pub fn approx_eq(&self, other: &CubeData, rel_tol: f64) -> bool {
-        if self.entries.len() != other.entries.len() {
-            return false;
-        }
-        self.entries
-            .iter()
-            .all(|(k, &v)| match other.entries.get(k) {
-                Some(&w) => crate::value::approx_eq(v, w, rel_tol),
-                None => false,
-            })
+        self.matches(other, |v, w| crate::value::approx_eq(v, w, rel_tol))
     }
 
     /// A human-readable diff against another cube, for test failure
@@ -184,20 +289,34 @@ impl CubeData {
         }
         let mut lines = Vec::new();
         for (k, v) in self.iter_sorted() {
-            match other.entries.get(k) {
-                None => lines.push(format!("  only left : {} -> {v}", format_tuple(k))),
-                Some(&w) if !crate::value::approx_eq(v, w, rel_tol) => {
-                    lines.push(format!("  differs   : {} -> {v} vs {w}", format_tuple(k)))
+            match other.get(&k) {
+                None => lines.push(format!("  only left : {} -> {v}", format_tuple(&k))),
+                Some(w) if !crate::value::approx_eq(v, w, rel_tol) => {
+                    lines.push(format!("  differs   : {} -> {v} vs {w}", format_tuple(&k)))
                 }
                 _ => {}
             }
         }
         for (k, v) in other.iter_sorted() {
-            if !self.entries.contains_key(k) {
-                lines.push(format!("  only right: {} -> {v}", format_tuple(k)));
+            if self.get(&k).is_none() {
+                lines.push(format!("  only right: {} -> {v}", format_tuple(&k)));
             }
         }
         Some(lines.join("\n"))
+    }
+}
+
+impl PartialEq for CubeData {
+    /// Equality of the two functions (measures compared with `==`),
+    /// independent of row order and of the pools' symbol assignment.
+    fn eq(&self, other: &CubeData) -> bool {
+        self.matches(other, |v, w| v == w)
+    }
+}
+
+impl fmt::Debug for CubeData {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter_sorted()).finish()
     }
 }
 
@@ -219,7 +338,7 @@ impl<'de> serde::Deserialize<'de> for CubeData {
 impl fmt::Display for CubeData {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (k, v) in self.iter_sorted() {
-            writeln!(f, "({}) -> {v}", format_tuple(k))?;
+            writeln!(f, "({}) -> {v}", format_tuple(&k))?;
         }
         Ok(())
     }
@@ -252,7 +371,7 @@ impl Cube {
     /// schema. Data created through typed constructors is valid by
     /// construction; this guards cross-engine imports.
     pub fn validate(&self) -> Result<(), ModelError> {
-        for (k, _) in self.data.iter() {
+        for k in self.data.batch().keys() {
             if k.len() != self.schema.arity() {
                 return Err(ModelError::ArityMismatch {
                     cube: self.schema.id.to_string(),
@@ -408,6 +527,60 @@ mod tests {
             serde_json::to_string(&rev).unwrap()
         );
         assert_eq!(fwd.to_string(), rev.to_string());
+    }
+
+    #[test]
+    fn equality_is_independent_of_pool_and_row_order() {
+        let rows: Vec<(DimTuple, f64)> = ["b", "a", "c"]
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (vec![q(2020, 1), DimValue::str(*r)], i as f64))
+            .collect();
+        let fwd = CubeData::from_tuples(rows.clone()).unwrap();
+        let rev = CubeData::from_tuples(rows.into_iter().rev()).unwrap();
+        assert!(!fwd.pool().compatible(rev.pool()));
+        assert_eq!(fwd, rev);
+        let mut other = rev.clone();
+        other.insert_overwrite(vec![q(2020, 1), DimValue::str("a")], 9.0);
+        assert_ne!(fwd, other);
+        assert_eq!(rev.get(&[q(2020, 1), DimValue::str("a")]), Some(1.0));
+    }
+
+    #[test]
+    fn clones_share_until_written() {
+        let mut a = CubeData::new();
+        a.insert(vec![DimValue::str("x")], 1.0).unwrap();
+        let mut b = a.clone();
+        assert_eq!(a.storage_ptr(), b.storage_ptr());
+        // a miss, and a write of a known string, leave the pool shared
+        assert_eq!(b.remove(&[DimValue::str("nope")]), None);
+        assert_eq!(a.storage_ptr(), b.storage_ptr());
+        b.insert_overwrite(vec![DimValue::str("x")], 2.0);
+        assert_ne!(a.storage_ptr(), b.storage_ptr());
+        assert!(std::sync::Arc::ptr_eq(a.pool(), b.pool()));
+        assert_eq!(a.get(&[DimValue::str("x")]), Some(1.0));
+        // a new string extends a private copy of the pool
+        b.insert(vec![DimValue::str("y")], 3.0).unwrap();
+        assert!(!std::sync::Arc::ptr_eq(a.pool(), b.pool()));
+        assert_eq!(a.len(), 1);
+        assert_eq!(b.len(), 2);
+    }
+
+    #[test]
+    fn batch_in_adopts_or_remaps() {
+        let a = CubeData::from_tuples(vec![(vec![DimValue::str("x")], 1.0)]).unwrap();
+        let b = CubeData::from_tuples(vec![(vec![DimValue::str("y")], 2.0)]).unwrap();
+        let mut pool = std::sync::Arc::new(DimPool::new());
+        let shared = a.batch_in(&mut pool);
+        assert!(std::sync::Arc::ptr_eq(&pool, a.pool()));
+        assert!(std::sync::Arc::ptr_eq(&shared, &a.batch));
+        let remapped = b.batch_in(&mut pool);
+        assert_eq!(pool.len(), 2);
+        assert_eq!(
+            CubeData::from_shared(remapped, pool.clone()),
+            b,
+            "remapped keys resolve to the same tuples"
+        );
     }
 
     #[test]

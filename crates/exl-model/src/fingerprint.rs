@@ -5,8 +5,12 @@
 //! produce the same [`Fingerprint`] whether they were built in different
 //! insertion orders, deep-copied, or shared through the copy-on-write
 //! `Arc` of [`CubeData`]. Likewise a fingerprint must not depend on any
-//! interner pool's symbol assignment, so hashing goes through the
-//! resolved [`DimValue`]s (strings hash by contents).
+//! interner pool's symbol assignment, so each interned key is hashed as
+//! the [`DimValue`] tuple it resolves to ([`DimPool::hash_key`]: strings
+//! hash by contents) straight off the key column, without resolving.
+//!
+//! [`DimValue`]: crate::value::DimValue
+//! [`DimPool::hash_key`]: crate::intern::DimPool::hash_key
 //!
 //! Two combination modes cover the two kinds of identity the cache needs:
 //!
@@ -29,7 +33,6 @@ use std::str::FromStr;
 
 use crate::cube::CubeData;
 use crate::hash::FxHasher;
-use crate::value::DimValue;
 
 /// Lane-separation constants: arbitrary odd 64-bit values XORed into the
 /// raw entry hash before mixing, so the two lanes of a [`Fingerprint`]
@@ -82,14 +85,6 @@ impl Fingerprint {
         Fingerprint::of_bytes(s.as_bytes())
     }
 
-    /// Content fingerprint of one cube entry. Measures hash by their bit
-    /// pattern: the cache promises *bit-identical* replay, so `-0.0` and
-    /// `+0.0` are distinct here even though the egd check collapses them.
-    fn of_entry(key: &[DimValue], value: f64) -> (u64, u64) {
-        let raw = fx64(&(key, value.to_bits()));
-        (mix(raw ^ LANE_HI), mix(raw ^ LANE_LO))
-    }
-
     /// Order-independent content fingerprint of a cube: per-entry mixed
     /// hashes combined with wrapping addition (commutative and
     /// associative, so any iteration order of the underlying hash map
@@ -97,12 +92,20 @@ impl Fingerprint {
     /// end. Clones — CoW `Arc` shares and deep copies alike — fingerprint
     /// identically because only `(tuple, bits)` content is hashed.
     pub fn of_cube(cube: &CubeData) -> Fingerprint {
+        let pool = cube.pool();
         let mut acc_hi: u64 = 0;
         let mut acc_lo: u64 = 0;
-        for (k, v) in cube.iter() {
-            let (eh, el) = Fingerprint::of_entry(k, v);
-            acc_hi = acc_hi.wrapping_add(eh);
-            acc_lo = acc_lo.wrapping_add(el);
+        for (k, v) in cube.batch().iter() {
+            // the entry hash of `(&[DimValue], bits)`; measures hash by
+            // their bit pattern: the cache promises *bit-identical*
+            // replay, so `-0.0` and `+0.0` are distinct here even though
+            // the egd check collapses them
+            let mut h = FxHasher::default();
+            pool.hash_key(k, &mut h);
+            v.to_bits().hash(&mut h);
+            let raw = h.finish();
+            acc_hi = acc_hi.wrapping_add(mix(raw ^ LANE_HI));
+            acc_lo = acc_lo.wrapping_add(mix(raw ^ LANE_LO));
         }
         let n = cube.len() as u64;
         Fingerprint {
@@ -207,6 +210,7 @@ mod tests {
     use super::*;
     use crate::cube::DimTuple;
     use crate::time::TimePoint;
+    use crate::value::DimValue;
 
     fn entry(i: i64, r: &str, v: f64) -> (DimTuple, f64) {
         (vec![DimValue::Int(i), DimValue::str(r)], v)

@@ -16,15 +16,24 @@
 //! order, not lexicographic order), so sorted boundaries must compare
 //! through the pool: [`DimPool::cmp_vals`]/[`DimPool::cmp_keys`]
 //! reproduce exactly the derived `Ord` of [`DimValue`]
-//! (`Int < Str < Time`, strings by contents).
+//! (`Int < Str < Time`, strings by contents), and
+//! [`DimPool::hash_key`] reproduces its derived `Hash`.
+//!
+//! Pools are append-only, which makes them shareable: two pools that
+//! agree on every symbol both define ([`DimPool::compatible`] — one is a
+//! prefix of the other) give the same meaning to every key either can
+//! produce, so keys cross between them unchanged. Only keys from an
+//! incompatible pool need a symbol remap ([`DimPool::remap_into`]),
+//! which costs O(distinct strings) plus an integer rewrite per key.
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::cube::DimTuple;
 use crate::hash::FxHashMap;
 use crate::time::TimePoint;
-use crate::value::DimValue;
+use crate::value::{DimType, DimValue};
 
 /// Interned string symbol: an index into a [`DimPool`]'s table.
 /// Symbols are stable for the lifetime of the pool (append-only).
@@ -44,6 +53,27 @@ pub enum IDim {
     Time(TimePoint),
 }
 
+impl IDim {
+    /// The [`DimType`] this value inhabits (as [`DimValue::dim_type`]).
+    pub fn dim_type(self) -> DimType {
+        match self {
+            IDim::Int(_) => DimType::Int,
+            IDim::Sym(_) => DimType::Str,
+            IDim::Time(t) => DimType::Time(t.frequency()),
+        }
+    }
+}
+
+/// Borrowed mirror of [`DimValue`]: same variants in the same order, so
+/// its derived `Hash` feeds a hasher exactly what `DimValue`'s does (a
+/// `&str` hashes like the `Arc<str>` it borrows from).
+#[derive(Hash)]
+enum ValueRef<'a> {
+    Int(i64),
+    Str(&'a str),
+    Time(TimePoint),
+}
+
 /// A flat, interned dimension tuple: the key type of the keyed kernels.
 ///
 /// Shared (`Arc`), not boxed: batch kernels clone keys on every
@@ -55,9 +85,10 @@ pub type IKey = std::sync::Arc<[IDim]>;
 
 /// Append-only interning pool for dimension strings.
 ///
-/// Deliberately not thread-shared: each chase/eval run owns its pool,
-/// interns on ingest, and resolves on export. Parallel sections receive
-/// `&DimPool` (resolve-only) which is `Sync`.
+/// Cube data carries the pool its keys are interned in (behind an `Arc`,
+/// shared by every cube derived from the same inputs); writers extend a
+/// shared pool copy-on-write. Parallel sections receive `&DimPool`
+/// (resolve-only), which is `Sync`.
 #[derive(Debug, Default, Clone)]
 pub struct DimPool {
     strings: Vec<std::sync::Arc<str>>,
@@ -91,6 +122,86 @@ impl DimPool {
         self.strings.push(shared.clone());
         self.lookup.insert(shared, sym);
         sym
+    }
+
+    /// Symbol of an already interned string, without interning it.
+    pub fn lookup(&self, s: &str) -> Option<Sym> {
+        self.lookup.get(s).copied()
+    }
+
+    /// Read-only [`DimPool::intern_value`]: `None` when the value is a
+    /// string this pool has never seen (so no key of the pool holds it).
+    pub fn lookup_value(&self, v: &DimValue) -> Option<IDim> {
+        Some(match v {
+            DimValue::Int(i) => IDim::Int(*i),
+            DimValue::Str(s) => IDim::Sym(self.lookup(s)?),
+            DimValue::Time(t) => IDim::Time(*t),
+        })
+    }
+
+    /// Read-only [`DimPool::intern_tuple`].
+    pub fn lookup_tuple(&self, tuple: &[DimValue]) -> Option<IKey> {
+        tuple.iter().map(|v| self.lookup_value(v)).collect()
+    }
+
+    /// True when the two pools agree on every symbol both define, i.e.
+    /// one is a prefix of the other: keys of either are then valid, with
+    /// the same meaning, in the longer one. Costs a pointer (or, for
+    /// independently built pools, a string) comparison per common symbol.
+    pub fn compatible(&self, other: &DimPool) -> bool {
+        self.strings
+            .iter()
+            .zip(&other.strings)
+            .all(|(a, b)| std::sync::Arc::ptr_eq(a, b) || a == b)
+    }
+
+    /// Append the symbols of a longer [`compatible`](DimPool::compatible)
+    /// pool that this one lacks, making every key of `other` valid here.
+    pub fn extend_from(&mut self, other: &DimPool) {
+        debug_assert!(self.compatible(other));
+        for s in other.strings.iter().skip(self.strings.len()) {
+            let sym = Sym(u32::try_from(self.strings.len()).expect("dim pool overflow"));
+            self.strings.push(s.clone());
+            self.lookup.insert(s.clone(), sym);
+        }
+    }
+
+    /// Intern every string of this pool into `target`; entry `i` is the
+    /// target symbol of `Sym(i)`.
+    pub fn remap_into(&self, target: &mut DimPool) -> Vec<Sym> {
+        self.strings.iter().map(|s| target.intern(s)).collect()
+    }
+
+    /// Lexicographic rank of every symbol's string (entry `i` ranks
+    /// `Sym(i)`): the integer sort key of [`cmp_ranked`].
+    pub fn ranks(&self) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..self.strings.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| self.strings[a as usize].cmp(&self.strings[b as usize]));
+        let mut ranks = vec![0u32; order.len()];
+        for (rank, &sym) in order.iter().enumerate() {
+            ranks[sym as usize] = rank as u32;
+        }
+        ranks
+    }
+
+    /// Feed `state` exactly what `DimValue::hash` would for the resolved
+    /// value — pool-independent, and allocation-free.
+    pub fn hash_value<H: Hasher>(&self, v: IDim, state: &mut H) {
+        match v {
+            IDim::Int(i) => ValueRef::Int(i),
+            IDim::Sym(s) => ValueRef::Str(self.resolve(s)),
+            IDim::Time(t) => ValueRef::Time(t),
+        }
+        .hash(state)
+    }
+
+    /// Feed `state` exactly what hashing the resolved `[DimValue]` slice
+    /// would: a length prefix, then every value.
+    pub fn hash_key<H: Hasher>(&self, key: &[IDim], state: &mut H) {
+        state.write_usize(key.len());
+        for &v in key {
+            self.hash_value(v, state);
+        }
     }
 
     /// The string behind a symbol.
@@ -164,6 +275,42 @@ impl DimPool {
         }
         a.len().cmp(&b.len())
     }
+}
+
+/// [`DimPool::cmp_keys`] with strings compared by precomputed
+/// [`DimPool::ranks`] instead of by contents: the same order, at integer
+/// cost per comparison.
+pub fn cmp_ranked(a: &[IDim], b: &[IDim], ranks: &[u32]) -> Ordering {
+    let class = |v: &IDim| match v {
+        IDim::Int(_) => 0u8,
+        IDim::Sym(_) => 1,
+        IDim::Time(_) => 2,
+    };
+    for (x, y) in a.iter().zip(b.iter()) {
+        let o = match (x, y) {
+            (IDim::Int(x), IDim::Int(y)) => x.cmp(y),
+            (IDim::Sym(x), IDim::Sym(y)) => ranks[x.0 as usize].cmp(&ranks[y.0 as usize]),
+            (IDim::Time(x), IDim::Time(y)) => x.cmp(y),
+            _ => class(x).cmp(&class(y)),
+        };
+        if o != Ordering::Equal {
+            return o;
+        }
+    }
+    a.len().cmp(&b.len())
+}
+
+/// Rewrite a key's symbols through a [`DimPool::remap_into`] table.
+pub fn remap_key(key: &IKey, map: &[Sym]) -> IKey {
+    if !key.iter().any(|v| matches!(v, IDim::Sym(_))) {
+        return key.clone();
+    }
+    key.iter()
+        .map(|&v| match v {
+            IDim::Sym(s) => IDim::Sym(map[s.0 as usize]),
+            other => other,
+        })
+        .collect()
 }
 
 impl fmt::Display for Sym {
@@ -275,6 +422,75 @@ mod tests {
         assert_eq!(pool.cmp_keys(&t2, &t1), Ordering::Greater);
         assert_eq!(pool.cmp_keys(&t1, &t1), Ordering::Equal);
         assert_eq!(pool.cmp_keys(&t3, &t1), Ordering::Less);
+    }
+
+    fn sample_tuples() -> Vec<DimTuple> {
+        vec![
+            vec![DimValue::str("w"), DimValue::Int(2)],
+            vec![DimValue::str("a"), DimValue::Int(9)],
+            vec![DimValue::Int(5), DimValue::str("k")],
+            vec![DimValue::str("a"), DimValue::Int(1)],
+            vec![DimValue::Time(TimePoint::Year(2000)), DimValue::str("q")],
+            vec![DimValue::str("")],
+        ]
+    }
+
+    #[test]
+    fn hash_key_matches_the_resolved_tuple_hash() {
+        let mut pool = DimPool::new();
+        for t in sample_tuples() {
+            let key = pool.intern_tuple(&t);
+            let mut want = crate::hash::FxHasher::default();
+            t.as_slice().hash(&mut want);
+            let mut got = crate::hash::FxHasher::default();
+            pool.hash_key(&key, &mut got);
+            assert_eq!(got.finish(), want.finish(), "{t:?}");
+            let mut want = std::collections::hash_map::DefaultHasher::new();
+            t.as_slice().hash(&mut want);
+            let mut got = std::collections::hash_map::DefaultHasher::new();
+            pool.hash_key(&key, &mut got);
+            assert_eq!(got.finish(), want.finish(), "{t:?}");
+        }
+    }
+
+    #[test]
+    fn compatibility_is_agreement_on_common_symbols() {
+        let mut a = DimPool::new();
+        a.intern("x");
+        let mut longer = a.clone();
+        longer.intern("y");
+        assert!(a.compatible(&longer) && longer.compatible(&a));
+        // independently built, same first-seen order: still compatible
+        let mut same = DimPool::new();
+        same.intern("x");
+        assert!(same.compatible(&longer));
+        let mut other = DimPool::new();
+        other.intern("y");
+        assert!(!other.compatible(&longer));
+        // extending adopts the missing tail
+        let mut grown = a.clone();
+        grown.extend_from(&longer);
+        assert_eq!(grown.lookup("y"), longer.lookup("y"));
+        // remapping goes through the strings, not the codes
+        let map = other.remap_into(&mut a);
+        assert_eq!(a.resolve(map[0]), "y");
+    }
+
+    #[test]
+    fn ranked_comparison_matches_dim_value_ord() {
+        let mut pool = DimPool::new();
+        let tuples = sample_tuples();
+        let keys: Vec<IKey> = tuples.iter().map(|t| pool.intern_tuple(t)).collect();
+        let ranks = pool.ranks();
+        for (i, a) in tuples.iter().enumerate() {
+            for (j, b) in tuples.iter().enumerate() {
+                assert_eq!(cmp_ranked(&keys[i], &keys[j], &ranks), a.cmp(b));
+            }
+        }
+        for t in &tuples {
+            assert_eq!(pool.lookup_tuple(t), Some(pool.clone().intern_tuple(t)));
+        }
+        assert_eq!(pool.lookup_tuple(&[DimValue::str("absent")]), None);
     }
 
     #[test]

@@ -12,11 +12,15 @@
 //!   stay valid across runs.
 //! * **Disjointness** — a row belongs to exactly one shard, so
 //!   [`concat_data`] never merges two measures for one point; shard outputs
-//!   concatenate without any float arithmetic, and the hash-stored
-//!   [`CubeData`] makes the result independent of concatenation order.
+//!   concatenate without any float arithmetic.
+//!
+//! Both directions work on the interned batch: a split hands every part
+//! the input's pool and a share of its key `Arc`s, and a merge appends
+//! rows (remapping symbols only for a part keyed in an incompatible pool).
 
 use std::hash::{Hash, Hasher};
 
+use crate::batch::CubeBatch;
 use crate::cube::CubeData;
 use crate::hash::FxHasher;
 use crate::value::DimValue;
@@ -34,16 +38,27 @@ pub fn shard_of(value: &DimValue, shards: usize) -> usize {
 }
 
 /// Split a cube's data into `shards` disjoint parts by hashing the
-/// dimension at `dim_idx` of every key. Rows keep their exact measures;
-/// the union of the parts is the input.
+/// dimension at `dim_idx` of every key ([`shard_of`] of the resolved
+/// value). Rows keep their exact measures and input order; the union of
+/// the parts is the input.
 pub fn split_data(data: &CubeData, dim_idx: usize, shards: usize) -> Vec<CubeData> {
     let n = shards.max(1);
-    let mut parts = vec![CubeData::with_capacity(data.len() / n + 1); n];
-    for (key, value) in data.iter() {
-        let s = shard_of(&key[dim_idx], n);
-        parts[s].insert_overwrite(key.clone(), value);
+    let pool = data.pool();
+    let mut parts = vec![CubeBatch::with_capacity(data.len() / n + 1); n];
+    for (key, value) in data.batch().iter() {
+        let s = if n == 1 {
+            0
+        } else {
+            let mut h = FxHasher::default();
+            pool.hash_value(key[dim_idx], &mut h);
+            (h.finish() % n as u64) as usize
+        };
+        parts[s].push(key.clone(), value);
     }
     parts
+        .into_iter()
+        .map(|part| CubeData::from_batch(part, pool.clone()))
+        .collect()
 }
 
 /// Concatenate disjoint shard outputs back into one cube. The parts come
@@ -59,13 +74,17 @@ where
     let Some(first) = iter.next() else {
         return CubeData::new();
     };
-    let mut out = first;
+    let mut pool = first.pool().clone();
+    let shared = first.batch_in(&mut pool);
+    drop(first);
+    let mut out = std::sync::Arc::unwrap_or_clone(shared);
     for part in iter {
-        for (key, value) in part.iter() {
+        let batch = part.batch_in(&mut pool);
+        for (key, value) in batch.iter() {
             out.insert_overwrite(key.clone(), value);
         }
     }
-    out
+    CubeData::from_batch(out, pool)
 }
 
 #[cfg(test)]

@@ -7,9 +7,11 @@
 //! string allocations happen to back the dimension values — while any
 //! single-entry change must move it.
 
+use std::sync::Arc;
+
 use exl_model::fingerprint::Fingerprint;
 use exl_model::value::DimValue;
-use exl_model::{CubeData, TimePoint};
+use exl_model::{CubeBatch, CubeData, DimPool, TimePoint};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -48,6 +50,20 @@ fn cube_of(entries: &[(Vec<DimValue>, f64)]) -> CubeData {
         data.insert_overwrite(k.clone(), *v);
     }
     data
+}
+
+/// The cube of `entries` with its keys interned in a pool whose string
+/// first-seen order is `strings`, rows in entry order.
+fn cube_in_pool(entries: &[(Vec<DimValue>, f64)], strings: &[&str]) -> CubeData {
+    let mut pool = DimPool::new();
+    for s in strings {
+        pool.intern(s);
+    }
+    let mut batch = CubeBatch::new();
+    for (k, v) in entries {
+        batch.push(pool.intern_tuple(k), *v);
+    }
+    CubeData::from_batch(batch, Arc::new(pool))
 }
 
 /// Fisher–Yates over a copy of the entries.
@@ -139,5 +155,31 @@ proptest! {
         let mut moved = entries.clone();
         moved[i].0.push(DimValue::Int(999));
         prop_assert!(base != Fingerprint::of_cube(&cube_of(&moved)), "moved key unseen");
+    }
+
+    /// Which pool the keys are interned in never shows: the same content
+    /// built through two pools with opposite string first-seen orders
+    /// (and opposite row orders) compares equal, serializes to the same
+    /// bytes, iterates in the same sorted sequence, and fingerprints
+    /// identically — also against a cube built tuple by tuple.
+    #[test]
+    fn cube_data_is_pool_independent(seed in 0u64..10_000) {
+        let entries = random_entries(seed);
+        let names: Vec<String> = (0..6).map(|i| format!("r{i:02}")).collect();
+        let fwd: Vec<&str> = names.iter().map(String::as_str).collect();
+        let rev: Vec<&str> = fwd.iter().rev().copied().collect();
+        let a = cube_in_pool(&entries, &fwd);
+        let mut reversed = entries.clone();
+        reversed.reverse();
+        let b = cube_in_pool(&reversed, &rev);
+        prop_assert!(!a.pool().compatible(b.pool()));
+        prop_assert_eq!(&a, &b);
+        prop_assert_eq!(
+            serde_json::to_string(&a).unwrap(),
+            serde_json::to_string(&b).unwrap()
+        );
+        prop_assert_eq!(a.iter_sorted().collect::<Vec<_>>(), b.iter_sorted().collect::<Vec<_>>());
+        prop_assert_eq!(Fingerprint::of_cube(&a), Fingerprint::of_cube(&b));
+        prop_assert_eq!(Fingerprint::of_cube(&a), Fingerprint::of_cube(&cube_of(&entries)));
     }
 }

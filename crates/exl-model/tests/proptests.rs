@@ -1,8 +1,10 @@
 //! Property tests for the calendar and cube substrate.
 
+use std::collections::BTreeMap;
+
 use exl_model::time::{Date, Frequency, TimePoint};
 use exl_model::value::DimValue;
-use exl_model::CubeData;
+use exl_model::{CubeData, DimTuple, ModelError};
 use proptest::prelude::*;
 
 fn arb_frequency() -> impl Strategy<Value = Frequency> {
@@ -16,6 +18,52 @@ fn arb_frequency() -> impl Strategy<Value = Frequency> {
 
 fn arb_timepoint() -> impl Strategy<Value = TimePoint> {
     (arb_frequency(), -200_000i64..200_000).prop_map(|(f, i)| TimePoint::from_index(f, i))
+}
+
+/// One tuple-level operation on a cube, for the model test.
+#[derive(Debug, Clone)]
+enum CubeOp {
+    Insert(DimTuple, f64),
+    Overwrite(DimTuple, f64),
+    Remove(DimTuple),
+    Get(DimTuple),
+    /// Snapshot the cube (a copy-on-write clone) for later comparison.
+    Snapshot,
+}
+
+/// Small key space (so operations collide) mixing strings — new ones
+/// appear mid-sequence and grow the pool — with integers and quarters.
+fn arb_key() -> impl Strategy<Value = DimTuple> {
+    (0u8..6, 0i64..4, 1u32..3).prop_map(|(s, i, q)| {
+        vec![
+            DimValue::str(format!("s{s}")),
+            DimValue::Int(i),
+            DimValue::Time(TimePoint::Quarter {
+                year: 2020,
+                quarter: q,
+            }),
+        ]
+    })
+}
+
+/// Few distinct measures, so re-inserting an equal value happens.
+fn arb_measure() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(1.0), Just(-0.0), Just(0.0), -10.0f64..10.0]
+}
+
+fn arb_op() -> impl Strategy<Value = CubeOp> {
+    prop_oneof![
+        (arb_key(), arb_measure()).prop_map(|(k, v)| CubeOp::Insert(k, v)),
+        (arb_key(), arb_measure()).prop_map(|(k, v)| CubeOp::Overwrite(k, v)),
+        arb_key().prop_map(CubeOp::Remove),
+        arb_key().prop_map(CubeOp::Get),
+        Just(CubeOp::Snapshot),
+    ]
+}
+
+/// The cube as a sorted map, bit-exact on measures.
+fn model_of(data: &CubeData) -> BTreeMap<DimTuple, u64> {
+    data.iter().map(|(k, v)| (k, v.to_bits())).collect()
 }
 
 proptest! {
@@ -116,5 +164,62 @@ proptest! {
         let json = serde_json::to_string(&data).unwrap();
         let back: CubeData = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(data, back);
+    }
+
+    /// Tuple-level operations agree with a `BTreeMap` model, step by
+    /// step: inserts keep set semantics and reject conflicting measures
+    /// (by bit pattern) with `FunctionalViolation` and no effect,
+    /// overwrites and removes behave like the map's, probes — which build
+    /// and then maintain the point index — never disturb later writes,
+    /// and a clone taken at any point is untouched by every later write
+    /// to the original (copy-on-write of batch and pool alike).
+    #[test]
+    fn cube_data_matches_a_btree_model(ops in proptest::collection::vec(arb_op(), 1..120)) {
+        let mut data = CubeData::new();
+        let mut model: BTreeMap<DimTuple, f64> = BTreeMap::new();
+        let mut snapshots: Vec<(CubeData, BTreeMap<DimTuple, u64>)> = Vec::new();
+        for op in ops {
+            match op {
+                CubeOp::Insert(k, v) => {
+                    let got = data.insert(k.clone(), v);
+                    match model.get(&k) {
+                        Some(old) if old.to_bits() != v.to_bits() => {
+                            prop_assert!(
+                                matches!(got, Err(ModelError::FunctionalViolation { .. })),
+                                "{:?}", got
+                            );
+                        }
+                        Some(_) => prop_assert!(got.is_ok()),
+                        None => {
+                            prop_assert!(got.is_ok());
+                            model.insert(k, v);
+                        }
+                    }
+                }
+                CubeOp::Overwrite(k, v) => {
+                    data.insert_overwrite(k.clone(), v);
+                    model.insert(k, v);
+                }
+                CubeOp::Remove(k) => {
+                    let got = data.remove(&k).map(f64::to_bits);
+                    prop_assert_eq!(got, model.remove(&k).map(f64::to_bits));
+                }
+                CubeOp::Get(k) => {
+                    let got = data.get(&k).map(f64::to_bits);
+                    prop_assert_eq!(got, model.get(&k).map(|v| v.to_bits()));
+                }
+                CubeOp::Snapshot => snapshots.push((data.clone(), model_of(&data))),
+            }
+            prop_assert_eq!(data.len(), model.len());
+        }
+        let want: BTreeMap<DimTuple, u64> =
+            model.iter().map(|(k, v)| (k.clone(), v.to_bits())).collect();
+        prop_assert_eq!(model_of(&data), want.clone());
+        let sorted: Vec<(DimTuple, u64)> =
+            data.iter_sorted().map(|(k, v)| (k, v.to_bits())).collect();
+        prop_assert_eq!(sorted, want.into_iter().collect::<Vec<_>>());
+        for (snap, at) in snapshots {
+            prop_assert_eq!(model_of(&snap), at);
+        }
     }
 }

@@ -13,13 +13,21 @@
 //! under a plain mutex; when the ring is full the oldest event is
 //! evicted, so the recorder holds the *tail* of the run at all times.
 //!
+//! Every event is tagged with the *run* that recorded it: the id this
+//! thread entered with [`enter_run`]. The engine enters a fresh id per
+//! run, and the id travels to supervisor, shard and evaluator worker
+//! threads with the run's governor (installing a governor enters its
+//! run). The ring is shared by every run in the process, so a consumer
+//! that wants one run's story filters by id ([`tail_for_run`]).
+//!
 //! The engine arms the recorder when a crash-bundle directory is
-//! configured (`exlc --bundle-dir`) and dumps [`tail`] into the bundle
-//! on any run failure. The event vocabulary is [`FlightKind`]; see
+//! configured (`exlc --bundle-dir`) and dumps its run's tail into the
+//! bundle on any run failure. The event vocabulary is [`FlightKind`]; see
 //! docs/OBSERVABILITY.md for the documented schema.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -111,6 +119,8 @@ pub struct FlightEvent {
     pub seq: u64,
     /// Nanoseconds since the recorder was armed.
     pub nanos: u64,
+    /// The run that recorded it (0: outside any run).
+    pub run: u64,
     /// Event kind.
     pub kind: FlightKind,
     /// Where it happened: a span name, fault site, or subsystem path.
@@ -130,6 +140,45 @@ struct Ring {
 /// [`record_with`] call — the entire disarmed cost.
 static ARMED: AtomicBool = AtomicBool::new(false);
 static RING: Mutex<Option<Ring>> = Mutex::new(None);
+
+/// Source of run ids; 0 is reserved for "no run".
+static NEXT_RUN: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// The run this thread records for (0: none).
+    static CURRENT_RUN: Cell<u64> = const { Cell::new(0) };
+}
+
+/// A fresh, process-unique run id (never 0).
+pub fn next_run_id() -> u64 {
+    NEXT_RUN.fetch_add(1, Ordering::Relaxed)
+}
+
+/// The run this thread currently records for (0: none).
+pub fn current_run() -> u64 {
+    CURRENT_RUN.get()
+}
+
+/// Tag this thread's events with `run` until the returned scope drops,
+/// which restores the previous run. Scopes nest.
+#[must_use = "the run is left when the scope drops"]
+pub fn enter_run(run: u64) -> RunScope {
+    RunScope {
+        prev: CURRENT_RUN.replace(run),
+    }
+}
+
+/// Restores the thread's previous run on drop (see [`enter_run`]).
+#[derive(Debug)]
+pub struct RunScope {
+    prev: u64,
+}
+
+impl Drop for RunScope {
+    fn drop(&mut self) {
+        CURRENT_RUN.set(self.prev);
+    }
+}
 
 fn ring() -> MutexGuard<'static, Option<Ring>> {
     // an injected panic can poison the lock mid-record; the ring data is
@@ -154,6 +203,21 @@ pub fn arm(capacity: usize) {
 /// [`arm`] with [`DEFAULT_CAPACITY`].
 pub fn arm_default() {
     arm(DEFAULT_CAPACITY);
+}
+
+/// [`arm_default`] unless the recorder is already armed, in which case
+/// the ring — and every run's events in it — is kept.
+pub fn ensure_armed() {
+    let mut guard = ring();
+    if guard.is_none() {
+        *guard = Some(Ring {
+            epoch: Instant::now(),
+            capacity: DEFAULT_CAPACITY,
+            next_seq: 0,
+            events: VecDeque::with_capacity(DEFAULT_CAPACITY),
+        });
+    }
+    ARMED.store(true, Ordering::SeqCst);
 }
 
 /// Disarm the recorder and drop the ring.
@@ -188,6 +252,7 @@ pub fn record_with(kind: FlightKind, site: &str, detail: impl FnOnce() -> String
     let event = FlightEvent {
         seq: ring.next_seq,
         nanos: u64::try_from(ring.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX),
+        run: CURRENT_RUN.get(),
         kind,
         site: site.to_string(),
         detail: detail(),
@@ -204,6 +269,14 @@ pub fn tail() -> Vec<FlightEvent> {
     ring()
         .as_ref()
         .map(|r| r.events.iter().cloned().collect())
+        .unwrap_or_default()
+}
+
+/// The ring's events recorded by `run`, oldest first.
+pub fn tail_for_run(run: u64) -> Vec<FlightEvent> {
+    ring()
+        .as_ref()
+        .map(|r| r.events.iter().filter(|e| e.run == run).cloned().collect())
         .unwrap_or_default()
 }
 
@@ -265,6 +338,42 @@ mod tests {
         let t = tail();
         assert_eq!(t.len(), 1);
         assert_eq!(t[0].seq, 0);
+        disarm();
+    }
+
+    #[test]
+    fn events_carry_the_recording_threads_run() {
+        let _l = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        arm(16);
+        let (a, b) = (next_run_id(), next_run_id());
+        assert!(a != 0 && b != 0 && a != b);
+        record(FlightKind::Run, "engine.run", "outside");
+        {
+            let _a = enter_run(a);
+            record(FlightKind::Run, "engine.run", "a1");
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let _b = enter_run(b);
+                    record(FlightKind::Run, "engine.run", "b1");
+                });
+            });
+            {
+                let _b = enter_run(b);
+                assert_eq!(current_run(), b);
+                record(FlightKind::Run, "engine.run", "b2");
+            }
+            assert_eq!(current_run(), a);
+            record(FlightKind::Run, "engine.run", "a2");
+        }
+        assert_eq!(current_run(), 0);
+        let details =
+            |run| -> Vec<String> { tail_for_run(run).into_iter().map(|e| e.detail).collect() };
+        assert_eq!(details(a), ["a1", "a2"]);
+        assert_eq!(details(b), ["b1", "b2"]);
+        assert_eq!(details(0), ["outside"]);
+        // ensure_armed keeps an armed ring
+        ensure_armed();
+        assert_eq!(tail().len(), 5);
         disarm();
     }
 

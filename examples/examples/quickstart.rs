@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let output = exl_eval::run_program(&analyzed, &input)?;
     println!("PCHNG (quarter-on-quarter trend change, %):");
     for (key, value) in output.data(&"PCHNG".into()).unwrap().iter_sorted() {
-        println!("  {} -> {value:.3}", exl_model::format_tuple(key));
+        println!("  {} -> {value:.3}", exl_model::format_tuple(&key));
     }
 
     // the trend smooths the seasonal swings: its changes are small and

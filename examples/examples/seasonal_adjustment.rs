@@ -74,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nYoY growth of seasonally adjusted sales (%):");
     let yoy = out.data(&"YOY".into()).unwrap();
     for (k, v) in yoy.iter_sorted().take(6) {
-        println!("  {} -> {v:+.2}", exl_model::format_tuple(k));
+        println!("  {} -> {v:+.2}", exl_model::format_tuple(&k));
     }
     for (_, v) in yoy.iter() {
         assert!(v > 0.0 && v < 15.0, "implausible growth {v}");
@@ -83,7 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let annual = out.data(&"ANNUAL".into()).unwrap();
     println!("\nannual raw totals:");
     for (k, v) in annual.iter_sorted() {
-        println!("  {} -> {v:.0}", exl_model::format_tuple(k));
+        println!("  {} -> {v:.0}", exl_model::format_tuple(&k));
     }
     assert_eq!(annual.len(), 5);
     println!("\nok: seasonal adjustment pipeline complete");

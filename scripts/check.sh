@@ -15,6 +15,17 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "== tier-1 =="
 cargo build --release && cargo test -q
 
+echo "== benchmark build + smoke =="
+# perfbench/ is its own workspace compiled against the engine crates'
+# public surface; build it and run each workload briefly. A run exits
+# non-zero when any op's output check fails (or an op errors).
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+for workload in vintage wide production; do
+    perfbench/target/release/exl-perfbench \
+        --workload "$workload" --seed 1 --seconds 2 --trace 0 > /dev/null
+    echo "perfbench $workload: ok"
+done
+
 echo "== fold-then-merge determinism =="
 # partitioned aggregation over mergeable states must be bit-identical to
 # the single-threaded fold for every AggFn and any partition count

@@ -338,3 +338,53 @@ fn sharded_panic_bundle_names_the_failing_shard() {
     assert_eq!(bundle.fault_sites, vec!["exec.native".to_string()]);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Run scoping: two engines fail concurrently in one process, each at
+/// its own fault site. The flight ring is shared, yet each bundle holds
+/// only the events its own run recorded — its fault site and none of
+/// the other run's.
+#[test]
+fn concurrent_failed_runs_write_run_scoped_bundles() {
+    let plan =
+        FaultPlan::one("exec.native", 0, FaultAction::Panic).and("exec.sql", 0, FaultAction::Error);
+    let _guard = exl_fault::install(plan);
+    let dirs = [
+        bundle_dir("concurrent-native"),
+        bundle_dir("concurrent-sql"),
+    ];
+    let targets = [TargetKind::Native, TargetKind::Sql];
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        for (dir, target) in dirs.iter().zip(targets) {
+            let start = &start;
+            s.spawn(move || {
+                let mut e = gdp_engine(target);
+                e.set_bundle_dir(dir).unwrap();
+                start.wait();
+                e.run_all().unwrap_err();
+            });
+        }
+    });
+    let native = read_single_bundle(&dirs[0]);
+    let sql = read_single_bundle(&dirs[1]);
+    assert_eq!(native.fault_sites, vec!["exec.native".to_string()]);
+    assert_eq!(sql.fault_sites, vec!["exec.sql".to_string()]);
+    assert!(native.events.iter().any(|ev| ev.kind == "panic.caught"));
+    assert!(
+        sql.events.iter().all(|ev| ev.kind != "panic.caught"),
+        "the native run's panic leaked into the SQL bundle"
+    );
+    assert!(
+        native.events.iter().all(|ev| ev.site != "exec.sql"),
+        "the SQL run's fault leaked into the native bundle"
+    );
+    let seqs = |b: &CrashBundle| b.events.iter().map(|ev| ev.seq).collect::<Vec<_>>();
+    let native_seqs = seqs(&native);
+    assert!(
+        seqs(&sql).iter().all(|q| !native_seqs.contains(q)),
+        "an event landed in both bundles"
+    );
+    for dir in &dirs {
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+}

@@ -64,7 +64,7 @@ fn differential(cfg: RandomConfig) -> Result<(), String> {
 fn assert_bit_identical(a: &CubeData, b: &CubeData, label: &str) -> Result<(), String> {
     prop_assert_eq!(a.len(), b.len(), "{}: cardinality differs", label);
     for (k, v) in a.iter_sorted() {
-        let w = b.get(k);
+        let w = b.get(&k);
         prop_assert!(
             w.map(f64::to_bits) == Some(v.to_bits()),
             "{}: {:?} -> {:?} vs {:?}",
