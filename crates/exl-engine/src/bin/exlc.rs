@@ -43,15 +43,9 @@
 //! * `--keep-going` — degradation mode: complete everything not
 //!   downstream of a failure (meaningful for multi-subgraph runs).
 //!
-//! Sharded dispatch for `run` (see `docs/PERFORMANCE.md`):
-//!
-//! * `--shards <n|auto>` — partition each native subgraph's data on an
-//!   automatically chosen dimension and execute one evaluator instance
-//!   per shard in parallel (`auto` = host core count). Results are
-//!   bit-identical for every shard count. Forces the full-engine path.
-//!   `EXL_NO_FUSION=1` in the environment disables plan fusion for the
-//!   invocation (a CLI-level default; the library takes the switch
-//!   per run via `ExecOpts`).
+//! `EXL_NO_FUSION=1` in the environment disables plan fusion for the
+//! invocation (a CLI-level default; the library takes the switch per
+//! run via `ExecOpts`).
 //!
 //! Governance options for `run`/`explain` (see `docs/GOVERNANCE.md`):
 //!
@@ -126,9 +120,6 @@ struct Globals {
     bundle_dir: Option<String>,
     ledger_dir: Option<String>,
     inject_fault: Option<String>,
-    /// `--shards <n|auto>`: shard native subgraphs (`Some(0)` = auto by
-    /// host core count). Forces the full-engine run path.
-    shards: Option<usize>,
 }
 
 /// The CLI-level execution defaults: `EXL_NO_FUSION=1` disables plan
@@ -138,7 +129,6 @@ struct Globals {
 fn exec_from_env() -> exl_engine::ExecOpts {
     exl_engine::ExecOpts {
         no_fusion: std::env::var("EXL_NO_FUSION").is_ok_and(|v| !v.is_empty() && v != "0"),
-        eval_threads: None,
     }
 }
 
@@ -295,19 +285,6 @@ fn extract_globals(args: &mut Vec<String>) -> Result<Globals, String> {
     let bundle_dir = extract_value_flag(args, "--bundle-dir")?;
     let ledger_dir = extract_value_flag(args, "--ledger-dir")?;
     let inject_fault = extract_value_flag(args, "--inject-fault")?;
-    let shards = match extract_value_flag(args, "--shards")? {
-        Some(v) if v == "auto" => Some(0),
-        Some(v) => {
-            let n: usize = v
-                .parse()
-                .map_err(|_| format!("--shards: `{v}` is not a shard count (or `auto`)"))?;
-            if n == 0 {
-                return Err("--shards: the count must be at least 1 (or `auto`)".into());
-            }
-            Some(n)
-        }
-        None => None,
-    };
     Ok(Globals {
         metrics_path,
         metrics_prom,
@@ -321,7 +298,6 @@ fn extract_globals(args: &mut Vec<String>) -> Result<Globals, String> {
         bundle_dir,
         ledger_dir,
         inject_fault,
-        shards,
     })
 }
 
@@ -596,7 +572,6 @@ fn build_engine(
         e.set_ledger_dir(dir).map_err(|e| e.to_string())?;
     }
     e.govern = govern_config(globals);
-    e.shards = globals.shards;
     e.exec = exec_from_env();
     e.register_program("main", &source)
         .map_err(|e| e.to_string())?;
@@ -699,8 +674,7 @@ fn do_run(
         || globals.progress
         || use_cache
         || globals.bundle_dir.is_some()
-        || globals.ledger_dir.is_some()
-        || globals.shards.is_some();
+        || globals.ledger_dir.is_some();
     if use_engine {
         // tracing, progress, the run cache, or an observability sink
         // asked for: run through the full engine so per-subgraph
@@ -738,7 +712,7 @@ fn do_run(
         let output = if let Some(policy) = &globals.policy {
             // fault-handling flags were given: run under the dispatch
             // supervisor (which records the subgraph span per attempt)
-            let (output, attempts) = exl_engine::run_on_target_supervised_opts(
+            let (output, attempts) = exl_engine::run_on_target_supervised(
                 &analyzed,
                 &input,
                 target,

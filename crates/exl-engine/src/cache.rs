@@ -224,22 +224,6 @@ impl RunCache {
         inputs: &Dataset,
         schema_of: &dyn Fn(&CubeId) -> Option<CubeSchema>,
     ) -> Option<(Vec<(CubeId, CubeData)>, StmtCacheCounts)> {
-        self.resolve_statements_tagged(stmts, target, inputs, schema_of, "")
-    }
-
-    /// [`RunCache::resolve_statements`] under a cache *tag*: a non-empty
-    /// tag (the sharded dispatcher uses `s<i>/<n>`) is folded into every
-    /// statement fingerprint, giving each shard its own key space — a
-    /// vintage delta that dirties one shard leaves every other shard's
-    /// entries hitting exactly.
-    pub fn resolve_statements_tagged(
-        &mut self,
-        stmts: &[Statement],
-        target: TargetKind,
-        inputs: &Dataset,
-        schema_of: &dyn Fn(&CubeId) -> Option<CubeSchema>,
-        tag: &str,
-    ) -> Option<(Vec<(CubeId, CubeData)>, StmtCacheCounts)> {
         let mut env = inputs.clone();
         let mut outputs = Vec::with_capacity(stmts.len());
         let mut counts = StmtCacheCounts::default();
@@ -248,7 +232,7 @@ impl RunCache {
         // statements directly, without re-interning at each boundary
         let mut session = exl_eval::EvalSession::new();
         for stmt in stmts {
-            let (stmt_fp, key_fp, input_fps) = self.statement_keys(stmt, target, &env, tag)?;
+            let (stmt_fp, key_fp, input_fps) = self.statement_keys(stmt, target, &env)?;
             let data = if let Some(data) = self.lookup_output(key_fp) {
                 counts.hits += 1;
                 data
@@ -301,25 +285,10 @@ impl RunCache {
         outputs: &[(CubeId, CubeData)],
         schema_of: &dyn Fn(&CubeId) -> Option<CubeSchema>,
     ) {
-        self.store_statements_tagged(stmts, target, inputs, outputs, schema_of, "")
-    }
-
-    /// [`RunCache::store_statements`] under a cache tag (see
-    /// [`RunCache::resolve_statements_tagged`]).
-    pub fn store_statements_tagged(
-        &mut self,
-        stmts: &[Statement],
-        target: TargetKind,
-        inputs: &Dataset,
-        outputs: &[(CubeId, CubeData)],
-        schema_of: &dyn Fn(&CubeId) -> Option<CubeSchema>,
-        tag: &str,
-    ) {
         let mut env = inputs.clone();
         for (stmt, (id, data)) in stmts.iter().zip(outputs.iter()) {
             debug_assert_eq!(&stmt.target, id);
-            let Some((stmt_fp, key_fp, input_fps)) = self.statement_keys(stmt, target, &env, tag)
-            else {
+            let Some((stmt_fp, key_fp, input_fps)) = self.statement_keys(stmt, target, &env) else {
                 return;
             };
             self.store_result(stmt_fp, key_fp, &input_fps, &env, data);
@@ -331,24 +300,17 @@ impl RunCache {
     /// Fingerprints of one statement against an environment: the
     /// statement fingerprint, the full cache key, and the per-input
     /// fingerprints in reference order. `None` when an input is missing
-    /// from the environment (the caller executes normally). A non-empty
-    /// `tag` (per-shard entries) is folded into the statement
-    /// fingerprint; the empty tag reproduces the untagged key space.
+    /// from the environment (the caller executes normally).
     fn statement_keys(
         &mut self,
         stmt: &Statement,
         target: TargetKind,
         env: &Dataset,
-        tag: &str,
     ) -> Option<StatementKeys> {
         let refs = stmt.expr.cube_refs();
         let mut sb = FingerprintBuilder::new("exl.stmt.v1");
         sb.push_str(&exl_lang::pretty::statement_to_string(stmt));
         sb.push_str(target.name());
-        if !tag.is_empty() {
-            sb.push_str("shard");
-            sb.push_str(tag);
-        }
         let mut input_fps = Vec::with_capacity(refs.len());
         for id in &refs {
             let cube = env.get(id)?;

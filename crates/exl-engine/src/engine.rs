@@ -19,8 +19,7 @@ use crate::catalog::Catalog;
 use crate::determination::{GlobalGraph, Subgraph};
 use crate::error::EngineError;
 use crate::govern::GovernConfig;
-use crate::shard::{dispatch_sharded, ShardReport};
-use crate::supervise::{run_supervised_opts, Attempt, DispatchPolicy, SubgraphStatus};
+use crate::supervise::{run_supervised, Attempt, DispatchPolicy, SubgraphStatus};
 use crate::target::{
     dataset_rows, input_schemas, subprogram, translate, ExecOpts, TargetCode, TargetKind,
 };
@@ -74,15 +73,7 @@ pub struct ExlEngine {
     pub default_target: TargetKind,
     /// Dispatch independent subgraphs of a stage on separate threads.
     pub parallel_dispatch: bool,
-    /// Shard native subgraphs across data partitions: `None` disables
-    /// sharding, `Some(0)` uses the host's available parallelism, and
-    /// `Some(n)` forces `n` shards. Subgraphs whose statements admit a
-    /// shard plan (see [`exl_eval::plan_shards`]) are partitioned on the
-    /// plan's dimension and executed one evaluator instance per shard;
-    /// everything else dispatches unsharded. Results are bit-identical
-    /// for every shard count.
-    pub shards: Option<usize>,
-    /// Per-run execution options (fusion switch, evaluator thread cap)
+    /// Per-run execution options (the fusion switch)
     /// threaded down to every backend invocation of this engine.
     pub exec: ExecOpts,
     /// Fault-handling policy for dispatch (retries, deadlines, fallback,
@@ -143,9 +134,6 @@ pub struct SubgraphReport {
     /// Total rows across the cubes this subgraph produced (0 when it
     /// produced none).
     pub rows_out: u64,
-    /// Per-shard outcomes when this subgraph ran under the sharded
-    /// dispatcher (empty for unsharded dispatch).
-    pub shards: Vec<ShardReport>,
 }
 
 /// Report of one recomputation run.
@@ -193,7 +181,6 @@ impl Default for ExlEngine {
             graph: GlobalGraph::new(),
             default_target: TargetKind::Native,
             parallel_dispatch: false,
-            shards: None,
             exec: ExecOpts::default(),
             policy: DispatchPolicy::default(),
             govern: GovernConfig::default(),
@@ -217,6 +204,15 @@ fn join_ids(ids: &[CubeId]) -> String {
         .map(|id| id.as_str())
         .collect::<Vec<_>>()
         .join(",")
+}
+
+/// The target a subgraph runs on: native when translation fell back.
+fn effective_target(sub: &Subgraph, fallback: bool) -> TargetKind {
+    if fallback {
+        TargetKind::Native
+    } else {
+        sub.target
+    }
 }
 
 /// Stamp a finished subgraph span with its outcome: `status`, `attempts`,
@@ -800,7 +796,6 @@ impl ExlEngine {
         let mut poisoned: BTreeSet<CubeId> = BTreeSet::new();
         let policy = self.policy.clone();
         let exec = self.exec;
-        let shard_count = self.effective_shards();
         let total_subgraphs = translated.len();
         let mut done_subgraphs = 0usize;
 
@@ -866,138 +861,11 @@ impl ExlEngine {
                 match self.prepare_inputs_staged(sub, &staged) {
                     Ok(prepared) => {
                         span.set_attr("rows_in", dataset_rows(&prepared));
-                        // sharded dispatch: a native subgraph whose
-                        // statements admit a shard plan runs data-parallel
-                        // right here, inline — per-shard cache entries
-                        // replace the subgraph-level consult below, and the
-                        // shard fan-out replaces stage-level parallelism
-                        // for this subgraph (it never enters `jobs`)
-                        let effective = if *fallback {
-                            TargetKind::Native
-                        } else {
-                            sub.target
-                        };
-                        if shard_count >= 2 && effective == TargetKind::Native {
-                            let stmts = self.statements_of(sub);
-                            if let Some(shard_plan) = exl_eval::plan_shards(&stmts, &|id| {
-                                self.catalog.schema(id).cloned()
-                            }) {
-                                span.set_attr("shards", shard_count as u64);
-                                span.set_attr("shard_dim", shard_plan.dim.as_str());
-                                let started = std::time::Instant::now();
-                                let (result, outcome) = dispatch_sharded(
-                                    &stmts,
-                                    &shard_plan,
-                                    shard_count,
-                                    &prepared,
-                                    &|id| self.catalog.schema(id).cloned(),
-                                    &policy,
-                                    registry,
-                                    &span,
-                                    cache,
-                                    exec,
-                                );
-                                let wall_nanos =
-                                    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                                match result {
-                                    Ok(items) => {
-                                        let counts = outcome.counts;
-                                        let status = if counts.misses == 0 {
-                                            SubgraphStatus::Cached
-                                        } else {
-                                            SubgraphStatus::Computed
-                                        };
-                                        span.set_attr("status", status.name());
-                                        if counts.misses == 0 {
-                                            recorder.incr_counter("engine.subgraphs_cached", 1);
-                                        }
-                                        recorder.incr_counter("cache.hits", counts.hits);
-                                        recorder
-                                            .incr_counter("cache.delta_hits", counts.delta_hits);
-                                        recorder.incr_counter("cache.misses", counts.misses);
-                                        report.cache.hits += counts.hits;
-                                        report.cache.delta_hits += counts.delta_hits;
-                                        report.cache.misses += counts.misses;
-                                        let rows_out: u64 =
-                                            items.iter().map(|(_, d)| d.len() as u64).sum();
-                                        for (id, data) in items {
-                                            staged.insert(id.clone(), data);
-                                            commit_order.push(id.clone());
-                                            report.computed.push(id);
-                                        }
-                                        let mut r = self.make_report(
-                                            si,
-                                            &translated,
-                                            status,
-                                            outcome.attempts,
-                                            None,
-                                            counts,
-                                            wall_nanos,
-                                            rows_out,
-                                        );
-                                        r.shards = outcome.reports;
-                                        obs.subgraphs.push(r.clone());
-                                        sub_reports[si] = Some(r);
-                                        self.emit_progress(
-                                            &mut done_subgraphs,
-                                            total_subgraphs,
-                                            si,
-                                            &translated,
-                                            status,
-                                        );
-                                    }
-                                    Err(e) => {
-                                        span.set_attr("status", "failed");
-                                        span.add_event(e.to_string());
-                                        let run_cancelled = crate::govern::governor()
-                                            .is_some_and(|g| g.token().is_cancelled());
-                                        let status = match &e {
-                                            EngineError::Cancelled { .. } => {
-                                                SubgraphStatus::Cancelled
-                                            }
-                                            EngineError::BudgetExceeded { .. } => {
-                                                SubgraphStatus::BudgetExceeded
-                                            }
-                                            _ => SubgraphStatus::Failed,
-                                        };
-                                        let mut r = self.make_report(
-                                            si,
-                                            &translated,
-                                            status,
-                                            outcome.attempts,
-                                            Some(e.to_string()),
-                                            StmtCacheCounts::default(),
-                                            wall_nanos,
-                                            0,
-                                        );
-                                        r.shards = outcome.reports;
-                                        obs.subgraphs.push(r.clone());
-                                        if !policy.keep_going
-                                            || (e.is_governance() && run_cancelled)
-                                        {
-                                            recorder.incr_counter("engine.rollbacks", 1);
-                                            return Err(e);
-                                        }
-                                        recorder.incr_counter("engine.subgraphs_failed", 1);
-                                        poisoned.extend(wanted.iter().cloned());
-                                        report.failed.extend(wanted.iter().cloned());
-                                        sub_reports[si] = Some(r);
-                                        self.emit_progress(
-                                            &mut done_subgraphs,
-                                            total_subgraphs,
-                                            si,
-                                            &translated,
-                                            status,
-                                        );
-                                    }
-                                }
-                                continue;
-                            }
-                        }
                         // consult the run cache: if every statement of the
                         // subgraph resolves (exact content hit or delta
                         // patch), stage the cached outputs and never spawn
                         if let Some(c) = cache.as_mut() {
+                            let effective = effective_target(sub, *fallback);
                             let stmts = self.statements_of(sub);
                             let resolve_started = std::time::Instant::now();
                             if let Some((outputs, counts)) =
@@ -1108,7 +976,7 @@ impl ExlEngine {
                                     .as_ref()
                                     .map(|g| crate::govern::set_governor(g.child()));
                                 let job_started = std::time::Instant::now();
-                                let (r, attempts) = run_supervised_opts(
+                                let (r, attempts) = run_supervised(
                                     code, native, &input, &wanted, policy, registry, &span, exec,
                                 );
                                 let wall = u64::try_from(job_started.elapsed().as_nanos())
@@ -1147,7 +1015,7 @@ impl ExlEngine {
                     let _governor =
                         crate::govern::governor().map(|g| crate::govern::set_governor(g.child()));
                     let job_started = std::time::Instant::now();
-                    let (r, attempts) = run_supervised_opts(
+                    let (r, attempts) = run_supervised(
                         code,
                         natives[si].as_ref(),
                         &input,
@@ -1189,11 +1057,7 @@ impl ExlEngine {
                         let mut counts = StmtCacheCounts::default();
                         if let Some(c) = cache.as_mut() {
                             let (sub, _, fallback) = &translated[si];
-                            let effective = if *fallback {
-                                TargetKind::Native
-                            } else {
-                                sub.target
-                            };
+                            let effective = effective_target(sub, *fallback);
                             counts.misses = items.len() as u64;
                             report.cache.misses += counts.misses;
                             recorder.incr_counter("cache.misses", counts.misses);
@@ -1346,11 +1210,7 @@ impl ExlEngine {
                 done: *done,
                 total,
                 cubes: self.targets_of(sub),
-                target: if *fallback {
-                    TargetKind::Native
-                } else {
-                    sub.target
-                },
+                target: effective_target(sub, *fallback),
                 status,
             });
         }
@@ -1372,11 +1232,7 @@ impl ExlEngine {
         rows_out: u64,
     ) -> SubgraphReport {
         let (sub, _, fallback) = &translated[si];
-        let target = if *fallback {
-            TargetKind::Native
-        } else {
-            sub.target
-        };
+        let target = effective_target(sub, *fallback);
         let cubes = self.targets_of(sub);
         exl_obs::flight::record_with(exl_obs::flight::FlightKind::Subgraph, target.name(), || {
             match &error {
@@ -1394,20 +1250,6 @@ impl ExlEngine {
             cache,
             wall_nanos,
             rows_out,
-            shards: Vec::new(),
-        }
-    }
-
-    /// The shard count a run of this engine would use: 1 when sharding
-    /// is disabled, the host's available parallelism for `Some(0)`
-    /// (`--shards auto`), the configured count otherwise.
-    pub fn effective_shards(&self) -> usize {
-        match self.shards {
-            None => 1,
-            Some(0) => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            Some(n) => n,
         }
     }
 

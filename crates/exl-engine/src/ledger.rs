@@ -109,42 +109,20 @@ impl LedgerRecord {
         let statements: Vec<LedgerStatement> = obs
             .subgraphs
             .iter()
-            .flat_map(|r| {
-                let cubes = r
+            .map(|r| LedgerStatement {
+                key: r
                     .cubes
                     .iter()
                     .map(|c| c.to_string())
                     .collect::<Vec<_>>()
-                    .join(",");
-                if r.shards.is_empty() {
-                    vec![LedgerStatement {
-                        key: cubes,
-                        target: r.target.name().to_string(),
-                        status: r.status.name().to_string(),
-                        wall_ms: r.wall_nanos as f64 / 1e6,
-                        rows_out: r.rows_out,
-                        cache_hits: r.cache.hits,
-                        cache_delta: r.cache.delta_hits,
-                        cache_misses: r.cache.misses,
-                    }]
-                } else {
-                    // sharded subgraphs ledger one entry per shard, keyed
-                    // `<cubes>#s<i>/<n>` — the sentinel then tracks each
-                    // shard as its own timing series
-                    r.shards
-                        .iter()
-                        .map(|s| LedgerStatement {
-                            key: format!("{cubes}#s{}/{}", s.index, s.count),
-                            target: r.target.name().to_string(),
-                            status: s.status.name().to_string(),
-                            wall_ms: s.wall_nanos as f64 / 1e6,
-                            rows_out: s.rows_out,
-                            cache_hits: s.cache.hits,
-                            cache_delta: s.cache.delta_hits,
-                            cache_misses: s.cache.misses,
-                        })
-                        .collect()
-                }
+                    .join(","),
+                target: r.target.name().to_string(),
+                status: r.status.name().to_string(),
+                wall_ms: r.wall_nanos as f64 / 1e6,
+                rows_out: r.rows_out,
+                cache_hits: r.cache.hits,
+                cache_delta: r.cache.delta_hits,
+                cache_misses: r.cache.misses,
             })
             .collect();
         let rows_out: u64 = obs.subgraphs.iter().map(|r| r.rows_out).sum();

@@ -28,11 +28,6 @@
 //!   cube contents are unchanged are skipped (or patched by the delta
 //!   kernels), in memory and optionally across processes via a
 //!   versioned disk store;
-//! * [`shard`] — the sharded dispatcher: hash-partitions a native
-//!   subgraph's inputs by one dimension, runs each shard under the full
-//!   supervisor fault boundary with its own per-shard cache entries, and
-//!   concatenates results at merge barriers — bit-identical to the
-//!   unsharded run for any shard count;
 //! * [`bundle`] — crash bundles: on any failed run the engine dumps the
 //!   flight recorder's event tail, metrics, governance state, and
 //!   per-subgraph statuses into one self-describing JSON artifact;
@@ -51,7 +46,6 @@ pub mod error;
 pub mod govern;
 pub mod ledger;
 pub mod lineage;
-pub mod shard;
 pub mod supervise;
 pub mod target;
 
@@ -64,11 +58,9 @@ pub use error::EngineError;
 pub use govern::{CancelToken, GovernConfig, GovernError, Governor, RunBudget};
 pub use ledger::{Baseline, LedgerRecord, LedgerStatement, SentinelConfig, LEDGER_VERSION};
 pub use lineage::{LineageReport, LineageStep};
-pub use shard::{dispatch_sharded, ShardOutcome, ShardReport};
 pub use supervise::{
-    run_on_target_supervised, run_on_target_supervised_opts, run_on_target_supervised_traced,
-    run_supervised, run_supervised_opts, run_supervised_traced, Attempt, AttemptOutcome,
-    DispatchPolicy, SubgraphStatus,
+    run_on_target_supervised, run_supervised, Attempt, AttemptOutcome, DispatchPolicy,
+    SubgraphStatus,
 };
 pub use target::{
     execute, execute_in_context, execute_in_context_opts, execute_recorded, execute_traced,

@@ -133,56 +133,14 @@ impl SubgraphStatus {
 /// Execute translated code under the full fault boundary: panic
 /// containment, deadline, retry with backoff, and the native fallback
 /// chain. Returns the result together with the per-attempt history.
-pub fn run_supervised(
-    code: &TargetCode,
-    native: Option<&TargetCode>,
-    input: &Dataset,
-    wanted: &[CubeId],
-    policy: &DispatchPolicy,
-    metrics: Option<&Arc<MetricsRegistry>>,
-) -> (Result<Dataset, EngineError>, Vec<Attempt>) {
-    run_supervised_traced(
-        code,
-        native,
-        input,
-        wanted,
-        policy,
-        metrics,
-        &exl_obs::Span::disabled(),
-    )
-}
-
-/// [`run_supervised`] with hierarchical tracing: every execution attempt
-/// (retries and runtime-fallback attempts included) becomes an `attempt`
-/// child span of `trace`, siblings of each other, carrying `target`,
-/// `attempt` (ordinal) and `status` attributes.
-pub fn run_supervised_traced(
-    code: &TargetCode,
-    native: Option<&TargetCode>,
-    input: &Dataset,
-    wanted: &[CubeId],
-    policy: &DispatchPolicy,
-    metrics: Option<&Arc<MetricsRegistry>>,
-    trace: &exl_obs::Span,
-) -> (Result<Dataset, EngineError>, Vec<Attempt>) {
-    run_supervised_opts(
-        code,
-        native,
-        input,
-        wanted,
-        policy,
-        metrics,
-        trace,
-        ExecOpts::default(),
-    )
-}
-
-/// [`run_supervised_traced`] with explicit [`ExecOpts`]: every attempt
-/// (retries and fallbacks included) executes with the given fusion /
-/// evaluator-thread settings. The sharded dispatcher runs each shard
-/// worker through this form with `eval_threads = Some(1)`.
+///
+/// Every execution attempt (retries and runtime-fallback attempts
+/// included) becomes an `attempt` child span of `trace`, siblings of each
+/// other, carrying `target`, `attempt` (ordinal) and `status` attributes,
+/// and executes with the given [`ExecOpts`]. Callers without a trace pass
+/// [`exl_obs::Span::disabled`].
 #[allow(clippy::too_many_arguments)]
-pub fn run_supervised_opts(
+pub fn run_supervised(
     code: &TargetCode,
     native: Option<&TargetCode>,
     input: &Dataset,
@@ -431,50 +389,10 @@ fn execute_guarded(
 /// Run a whole analyzed program on one target under the supervisor —
 /// the supervised counterpart of
 /// [`run_on_target_recorded`](crate::target::run_on_target_recorded),
-/// used by `exlc run` when retry/timeout flags are set.
-pub fn run_on_target_supervised(
-    analyzed: &exl_lang::analyze::AnalyzedProgram,
-    input: &Dataset,
-    target: TargetKind,
-    policy: &DispatchPolicy,
-    metrics: Option<&Arc<MetricsRegistry>>,
-) -> Result<(Dataset, Vec<Attempt>), EngineError> {
-    run_on_target_supervised_traced(
-        analyzed,
-        input,
-        target,
-        policy,
-        metrics,
-        &exl_obs::Span::disabled(),
-    )
-}
-
-/// [`run_on_target_supervised`] with every attempt traced under `trace`
-/// (see [`run_supervised_traced`]).
-pub fn run_on_target_supervised_traced(
-    analyzed: &exl_lang::analyze::AnalyzedProgram,
-    input: &Dataset,
-    target: TargetKind,
-    policy: &DispatchPolicy,
-    metrics: Option<&Arc<MetricsRegistry>>,
-    trace: &exl_obs::Span,
-) -> Result<(Dataset, Vec<Attempt>), EngineError> {
-    run_on_target_supervised_opts(
-        analyzed,
-        input,
-        target,
-        policy,
-        metrics,
-        trace,
-        ExecOpts::default(),
-    )
-}
-
-/// [`run_on_target_supervised_traced`] with explicit [`ExecOpts`] — how
-/// `exlc` threads its env-derived defaults (`EXL_NO_FUSION`) into a
-/// supervised whole-program run.
+/// used by `exlc run` when retry/timeout flags are set. Attempts are
+/// traced under `trace` and execute with `opts`, as in [`run_supervised`].
 #[allow(clippy::too_many_arguments)]
-pub fn run_on_target_supervised_opts(
+pub fn run_on_target_supervised(
     analyzed: &exl_lang::analyze::AnalyzedProgram,
     input: &Dataset,
     target: TargetKind,
@@ -506,7 +424,7 @@ pub fn run_on_target_supervised_opts(
             )));
         }
     }
-    let (result, attempts) = run_supervised_opts(
+    let (result, attempts) = run_supervised(
         &code,
         native.as_ref(),
         &restricted,
@@ -553,6 +471,8 @@ mod tests {
             &wanted,
             &DispatchPolicy::default(),
             None,
+            &exl_obs::Span::disabled(),
+            ExecOpts::default(),
         );
         assert!(result.is_ok());
         assert_eq!(attempts.len(), 1);
@@ -573,7 +493,16 @@ mod tests {
             subgraph_timeout: Some(Duration::from_millis(20)),
             ..DispatchPolicy::default()
         };
-        let (result, attempts) = run_supervised(&code, None, &input, &wanted, &policy, None);
+        let (result, attempts) = run_supervised(
+            &code,
+            None,
+            &input,
+            &wanted,
+            &policy,
+            None,
+            &exl_obs::Span::disabled(),
+            ExecOpts::default(),
+        );
         assert!(
             matches!(result, Err(EngineError::Timeout { .. })),
             "{result:?}"
@@ -593,7 +522,16 @@ mod tests {
         let before = live_threads();
         for _ in 0..8 {
             let _guard = exl_fault::install(exl_fault::FaultPlan::delay_once("exec.native", 500));
-            let (result, _) = run_supervised(&code, None, &input, &wanted, &policy, None);
+            let (result, _) = run_supervised(
+                &code,
+                None,
+                &input,
+                &wanted,
+                &policy,
+                None,
+                &exl_obs::Span::disabled(),
+                ExecOpts::default(),
+            );
             assert!(
                 matches!(result, Err(EngineError::Timeout { .. })),
                 "{result:?}"
@@ -618,8 +556,16 @@ mod tests {
             ..DispatchPolicy::default()
         };
         let registry = Arc::new(MetricsRegistry::new());
-        let (result, attempts) =
-            run_supervised(&code, None, &input, &wanted, &policy, Some(&registry));
+        let (result, attempts) = run_supervised(
+            &code,
+            None,
+            &input,
+            &wanted,
+            &policy,
+            Some(&registry),
+            &exl_obs::Span::disabled(),
+            ExecOpts::default(),
+        );
         assert!(result.is_ok(), "{result:?}");
         assert_eq!(attempts.len(), 2);
         assert!(matches!(attempts[0].outcome, AttemptOutcome::Panicked(_)));
@@ -650,6 +596,8 @@ mod tests {
             &wanted,
             &policy,
             Some(&registry),
+            &exl_obs::Span::disabled(),
+            ExecOpts::default(),
         );
         assert!(result.is_ok(), "{result:?}");
         // two failed sql attempts, then one native success
@@ -672,8 +620,16 @@ mod tests {
             ..DispatchPolicy::default()
         };
         let registry = Arc::new(MetricsRegistry::new());
-        let (result, attempts) =
-            run_supervised(&code, None, &input, &wanted, &policy, Some(&registry));
+        let (result, attempts) = run_supervised(
+            &code,
+            None,
+            &input,
+            &wanted,
+            &policy,
+            Some(&registry),
+            &exl_obs::Span::disabled(),
+            ExecOpts::default(),
+        );
         // native restrict() just yields an empty dataset for unknown ids,
         // so this run can succeed; the property under test is only that
         // retryable classification drives the attempt count

@@ -271,20 +271,15 @@ pub fn translate(
 }
 
 /// Per-dispatch execution options, threaded from the engine (or `exlc`)
-/// down to the native evaluator. These replace the process-global
-/// `EXL_NO_FUSION` / `EXL_EVAL_THREADS` environment toggles inside the
-/// engine: the env vars remain CLI-level defaults only, so parallel test
-/// harnesses (and parallel shard workers) can pick different settings
-/// per run without racing on `set_var`.
+/// down to the native evaluator. They replace the process-global
+/// `EXL_NO_FUSION` environment toggle inside the engine: the env var
+/// remains a CLI-level default only, so parallel test harnesses can pick
+/// different settings per run without racing on `set_var`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecOpts {
     /// Run native subgraphs on the statement-at-a-time evaluator instead
     /// of the fused streaming plans.
     pub no_fusion: bool,
-    /// Fixed native-evaluator worker count (`None` probes the machine).
-    /// The sharded dispatcher pins this to 1 per shard worker so shard
-    /// parallelism does not multiply with intra-evaluator parallelism.
-    pub eval_threads: Option<usize>,
 }
 
 /// Execute translated code against input data, returning the cubes named
@@ -339,8 +334,8 @@ pub fn execute_in_context(
 }
 
 /// [`execute_in_context`] with explicit [`ExecOpts`] — the form the
-/// engine and the sharded dispatcher use to control fusion and evaluator
-/// parallelism per run instead of via process-global environment state.
+/// engine uses to control fusion per run instead of via process-global
+/// environment state.
 pub fn execute_in_context_opts(
     code: &TargetCode,
     input: &Dataset,
@@ -409,7 +404,6 @@ fn execute_traced_inner(
         TargetCode::Native { analyzed } => {
             let eval_opts = exl_eval::EvalOptions {
                 no_fusion: opts.no_fusion,
-                threads: opts.eval_threads,
             };
             let (full, plan) = exl_eval::run_program_with_stats_opts(analyzed, input, eval_opts)
                 .map_err(|e| governed_or(e.govern_cause(), &e, None))?;

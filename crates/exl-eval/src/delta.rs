@@ -16,9 +16,16 @@
 //!   *complete* bag (the *algebraic aggregate* maintenance of Gray et
 //!   al.'s data cube, specialized to whole-group replay so the fold order
 //!   — and therefore every float — matches the cold path bit for bit).
-//! * Everything else — series operators (`stl_*`, `cumsum`, …) and nested
-//!   aggregations — is whole-cube: any changed key can move every output
-//!   value, so the caller must fall back to a full recompute.
+//! * **Series statements** — a root series operator (`stl_*`, `cumsum`,
+//!   `movavg`, …) over a tuple-level argument replays only the touched
+//!   *slices* (one per combination of non-time dimension values), each
+//!   through the same series kernel over its complete rows. When the
+//!   changed keys touch every slice — a single-series statement such as
+//!   the GDP program's `stl_trend(GDP)` — there is nothing to skip and
+//!   the caller recomputes in full.
+//! * Everything else — series operators or aggregations nested below the
+//!   root — is whole-cube: any changed key can move every output value,
+//!   so the caller must fall back to a full recompute.
 //!
 //! The contract, pinned by the `incremental_differential` suite, is
 //! **bit-identity**: a patched output equals the cold from-scratch output
@@ -43,7 +50,7 @@ use exl_model::schema::{CubeId, Dimension};
 use exl_model::{CubeData, Dataset, DimTuple};
 
 use crate::error::EvalError;
-use crate::eval::{eval_statement_batches, key_parts, part_idim};
+use crate::eval::{eval_statement_batches, key_parts, part_idim, resolve_time_index};
 
 /// Keys on which two versions of a cube differ: inserted, updated (by
 /// measure bits — the cache promises bit-identical replay), or removed.
@@ -84,7 +91,10 @@ pub enum DeltaShape {
     /// Root aggregation over a tuple-level argument: replay touched
     /// groups with their full bags.
     Grouped,
-    /// Whole-cube (series operators, nested aggregation): always
+    /// Root series operator over a tuple-level argument: replay touched
+    /// slices in full.
+    Series,
+    /// Whole-cube (nested series operators or aggregations): always
     /// recompute from scratch.
     Full,
 }
@@ -94,12 +104,11 @@ pub fn delta_shape(expr: &Expr) -> DeltaShape {
     if tuple_level(expr) {
         return DeltaShape::Keyed;
     }
-    if let Expr::Aggregate { arg, .. } = expr {
-        if tuple_level(arg) {
-            return DeltaShape::Grouped;
-        }
+    match expr {
+        Expr::Aggregate { arg, .. } if tuple_level(arg) => DeltaShape::Grouped,
+        Expr::SeriesFn { arg, .. } if tuple_level(arg) => DeltaShape::Series,
+        _ => DeltaShape::Full,
     }
-    DeltaShape::Full
 }
 
 /// True when the tree contains only per-key operators: each output key's
@@ -111,6 +120,16 @@ fn tuple_level(expr: &Expr) -> bool {
         Expr::Binary { lhs, rhs, .. } => tuple_level(lhs) && tuple_level(rhs),
         Expr::Aggregate { .. } | Expr::SeriesFn { .. } => false,
     }
+}
+
+/// True when a series statement's argument has a dimension besides time,
+/// so it can hold more than one slice. A single series is touched by any
+/// delta: replaying it is the cold path.
+fn sliced(expr: &Expr, env: &Dataset) -> bool {
+    let Expr::SeriesFn { arg, .. } = expr else {
+        return false;
+    };
+    dims_of(arg, env).is_some_and(|dims| dims.len() > 1)
 }
 
 /// One cube occurrence in a tuple-level tree, with the shift steps
@@ -244,7 +263,7 @@ pub fn eval_statement_delta(
     prev_output: &CubeData,
 ) -> Result<Option<CubeData>, EvalError> {
     let shape = delta_shape(&stmt.expr);
-    if shape == DeltaShape::Full {
+    if shape == DeltaShape::Full || (shape == DeltaShape::Series && !sliced(&stmt.expr, env)) {
         return Ok(None);
     }
 
@@ -282,6 +301,7 @@ pub fn eval_statement_delta(
     match shape {
         DeltaShape::Keyed => eval_keyed(stmt, env, &work, &deltas, prev_output, total_rows),
         DeltaShape::Grouped => eval_grouped(stmt, env, &work, &deltas, prev_output),
+        DeltaShape::Series => eval_series(stmt, env, &work, &deltas, prev_output),
         DeltaShape::Full => unreachable!("rejected above"),
     }
 }
@@ -384,53 +404,129 @@ fn eval_grouped(
             .map(|p| part_idim(p, k, &work.pool).ok())
             .collect()
     };
+    let Some(touched) = touched_groups(arg, env, work, deltas, group_of) else {
+        return Ok(None);
+    };
+    // an aggregation's output key is its group key; only touched groups
+    // got their complete bags (see `Touched::restricted`)
+    work.patch(
+        stmt,
+        touched.restricted,
+        prev_output,
+        &touched.groups,
+        |k| touched.groups.contains(k),
+    )
+    .map(Some)
+}
 
-    let mut leaves = Vec::new();
-    if collect_leaves(arg, env, &mut Vec::new(), &mut leaves).is_none() {
+/// Series patch: replay the touched slices — one per combination of
+/// non-time dimension values — each over its complete rows.
+fn eval_series(
+    stmt: &Statement,
+    env: &Dataset,
+    work: &Work,
+    deltas: &FxHashMap<CubeId, Vec<IKey>>,
+    prev_output: Arc<CubeBatch>,
+) -> Result<Option<CubeData>, EvalError> {
+    let Expr::SeriesFn { arg, .. } = &stmt.expr else {
+        unreachable!("classified as Series");
+    };
+    let Some(arg_dims) = dims_of(arg, env) else {
+        return Ok(None);
+    };
+    let Ok(time_idx) = resolve_time_index(&arg_dims, None) else {
+        return Ok(None);
+    };
+    // the series kernel slices on exactly this projection
+    let slice_of = |k: &IKey| -> IKey {
+        k.iter()
+            .enumerate()
+            .filter(|(i, _)| *i != time_idx)
+            .map(|(_, &d)| d)
+            .collect()
+    };
+    let Some(touched) = touched_groups(arg, env, work, deltas, |k| Some(slice_of(k))) else {
+        return Ok(None);
+    };
+    if touched.whole {
+        // every slice is touched: the replay would be the cold path
         return Ok(None);
     }
+    let stale: FxHashSet<IKey> = prev_output
+        .keys()
+        .iter()
+        .filter(|k| touched.groups.contains(&slice_of(k)))
+        .cloned()
+        .collect();
+    work.patch(stmt, touched.restricted, prev_output, &stale, |k| {
+        touched.groups.contains(&slice_of(k))
+    })
+    .map(Some)
+}
 
-    // touched groups: group keys of the forward images of changed keys
-    let mut affected: FxHashSet<IKey> = FxHashSet::default();
+/// The groups a delta touches and the complete input rows that feed
+/// them — see [`touched_groups`].
+struct Touched {
+    /// Group keys of the forward images of every changed key.
+    groups: FxHashSet<IKey>,
+    /// Every input of the argument, restricted to the rows whose forward
+    /// image lands in a touched group. Complete for the touched groups
+    /// only: a row kept for one leaf's chain can land in an untouched
+    /// group through another leaf's chain without its partners there, so
+    /// the replay's output outside the touched groups must be discarded.
+    restricted: Vec<(CubeId, Vec<Dimension>, Arc<CubeBatch>)>,
+    /// True when the restriction kept every input row.
+    whole: bool,
+}
+
+/// Touched groups of a root operator over the tuple-level `arg`, where
+/// `group_of` maps an argument key to its group. Restricting each input
+/// to the rows whose forward image lands in a touched group hands every
+/// touched group its complete rows and nothing else, so a replay through
+/// the cold kernels is bit-identical for those groups. `None` when the
+/// argument's leaves cannot be mapped or a key has no group (the cold
+/// path then raises whatever error the key deserves).
+fn touched_groups(
+    arg: &Expr,
+    env: &Dataset,
+    work: &Work,
+    deltas: &FxHashMap<CubeId, Vec<IKey>>,
+    group_of: impl Fn(&IKey) -> Option<IKey>,
+) -> Option<Touched> {
+    let mut leaves = Vec::new();
+    collect_leaves(arg, env, &mut Vec::new(), &mut leaves)?;
+    let mut groups: FxHashSet<IKey> = FxHashSet::default();
     for leaf in &leaves {
         let Some(delta) = deltas.get(&leaf.id) else {
             continue;
         };
         for k in delta {
-            match shift_key(k, &leaf.chain, 1).and_then(|out_k| group_of(&out_k)) {
-                Some(g) => {
-                    affected.insert(g);
-                }
-                None => return Ok(None),
-            }
+            groups.insert(shift_key(k, &leaf.chain, 1).and_then(|out_k| group_of(&out_k))?);
         }
     }
-
-    // restrict every input to the rows whose forward image lands in a
-    // touched group — the touched groups' complete bags, nothing else
     let mut restricted = Vec::new();
+    let mut whole = true;
     for id in arg.cube_refs() {
         let (dims, cur) = &work.inputs[&id];
         let chains: Vec<&Leaf> = leaves.iter().filter(|l| l.id == id).collect();
         let mut r = CubeBatch::new();
         for (k, v) in cur.iter() {
             for leaf in &chains {
-                let Some(g) = shift_key(k, &leaf.chain, 1).and_then(|out_k| group_of(&out_k))
-                else {
-                    // the cold path would reject this row
-                    return Ok(None);
-                };
-                if affected.contains(&g) {
+                let g = shift_key(k, &leaf.chain, 1).and_then(|out_k| group_of(&out_k))?;
+                if groups.contains(&g) {
                     r.push(k.clone(), v);
                     break;
                 }
             }
         }
+        whole &= r.len() == cur.len();
         restricted.push((id, dims.clone(), Arc::new(r)));
     }
-
-    work.patch(stmt, restricted, prev_output, &affected, |_| true)
-        .map(Some)
+    Some(Touched {
+        groups,
+        restricted,
+        whole,
+    })
 }
 
 #[cfg(test)]
@@ -643,10 +739,11 @@ mod tests {
 
     #[test]
     fn series_ops_are_not_eligible() {
+        // below the root, a series operator can move every output value
         assert_eq!(
             delta_shape(
                 &analyze(
-                    &parse_program("cube A(q: quarter); B := cumsum(A);").unwrap(),
+                    &parse_program("cube A(q: quarter); B := 2 * cumsum(A);").unwrap(),
                     &[]
                 )
                 .unwrap()
@@ -656,6 +753,125 @@ mod tests {
             ),
             DeltaShape::Full
         );
+    }
+
+    /// Two regions of three quarters each, for the series tests.
+    fn regions() -> Vec<(DimTuple, f64)> {
+        let mut rows = Vec::new();
+        for (r, base) in [("n", 1.0), ("s", 10.0)] {
+            for n in 1..=3 {
+                rows.push((vec![q(2020, n), DimValue::str(r)], base + 0.1 * n as f64));
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn series_touched_slice_replayed_in_full() {
+        // an early revision moves every later running total of its slice
+        check_delta(
+            "cube R(q: quarter, r: text); S := cumsum(R);",
+            vec![("R", regions())],
+            |env| poke(env, "R", vec![q(2020, 1), DimValue::str("n")], 0.7),
+        );
+        // through a shift, the slice is found from the forward image
+        check_delta(
+            "cube R(q: quarter, r: text); S := movavg(R - shift(R, 1), 2);",
+            vec![("R", regions())],
+            |env| poke(env, "R", vec![q(2020, 4), DimValue::str("s")], 12.5),
+        );
+    }
+
+    #[test]
+    fn series_slice_emptied_by_deletes_disappears() {
+        check_delta(
+            "cube R(q: quarter, r: text); S := cumsum(R);",
+            vec![("R", regions())],
+            |env| {
+                for n in 1..=3 {
+                    drop_key(env, "R", &[q(2020, n), DimValue::str("s")]);
+                }
+            },
+        );
+    }
+
+    /// A (quarter × int) panel whose slices, k = 3..=8, each hold two
+    /// quarters, for the named-shift tests.
+    fn int_panel() -> Vec<(DimTuple, f64)> {
+        let mut rows = Vec::new();
+        for k in 3..=8 {
+            for n in 1..=2 {
+                rows.push((
+                    vec![q(2020, n), DimValue::Int(k)],
+                    k as f64 + 0.1 * n as f64,
+                ));
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn series_shift_across_slices_patches_only_touched_slices() {
+        // revising slice 5 touches slices 5 and 6 (through the shift); the
+        // restriction also keeps slice 4's rows (their shift lands in 5) and
+        // slice 6's (their shift lands in 7), so the outer join yields
+        // partial slices 4 and 7 that must not overwrite their old values
+        check_delta(
+            "cube R(q: quarter, k: int); S := cumsum(addz(R, shift(R, 1, k)));",
+            vec![("R", int_panel())],
+            |env| poke(env, "R", vec![q(2020, 1), DimValue::Int(5)], 50.5),
+        );
+    }
+
+    #[test]
+    fn grouped_shift_across_groups_patches_only_touched_groups() {
+        check_delta(
+            "cube R(q: quarter, k: int); G := sum(addz(R, shift(R, 1, k)), group by k);",
+            vec![("R", int_panel())],
+            |env| poke(env, "R", vec![q(2020, 1), DimValue::Int(5)], 50.5),
+        );
+    }
+
+    /// Delta-evaluate the series statement of `src` after revising
+    /// `keys` of its input `R`.
+    fn series_delta(src: &str, old: Vec<(DimTuple, f64)>, keys: &[DimTuple]) -> Option<CubeData> {
+        let analyzed = analyze(&parse_program(src).unwrap(), &[]).unwrap();
+        let stmt = &analyzed.program.statements[0];
+        assert_eq!(delta_shape(&stmt.expr), DeltaShape::Series);
+        let schema = analyzed.schemas[&CubeId::new("R")].clone();
+        let old = CubeData::from_tuples(old).unwrap();
+        let mut env = Dataset::new();
+        env.put(Cube::new(schema.clone(), old.clone()));
+        let prev_out = eval_statement(stmt, &env).unwrap();
+        let mut new = old.clone();
+        for k in keys {
+            new.insert_overwrite(k.clone(), 99.5);
+        }
+        env.put(Cube::new(schema, new));
+        let prev_inputs: FxHashMap<CubeId, CubeData> =
+            [(CubeId::new("R"), old)].into_iter().collect();
+        eval_statement_delta(stmt, &env, &prev_inputs, &prev_out).unwrap()
+    }
+
+    #[test]
+    fn series_single_slice_argument_falls_back() {
+        // one series: any delta touches the only slice
+        let r = series_delta(
+            "cube R(q: quarter); S := cumsum(R);",
+            vec![(vec![q(2020, 1)], 1.0), (vec![q(2020, 2)], 2.0)],
+            &[vec![q(2020, 2)]],
+        );
+        assert!(r.is_none());
+        // a panel whose every slice is touched falls back the same way
+        let r = series_delta(
+            "cube R(q: quarter, r: text); S := cumsum(R);",
+            regions(),
+            &[
+                vec![q(2020, 2), DimValue::str("n")],
+                vec![q(2020, 2), DimValue::str("s")],
+            ],
+        );
+        assert!(r.is_none());
     }
 
     #[test]

@@ -53,9 +53,6 @@ pub(crate) const PAR_MIN_ROWS: usize = 4096;
 /// contract makes the setting invisible in the results: every float is
 /// bit-identical for any worker count.
 pub(crate) fn workers() -> usize {
-    if let Some(n) = THREAD_OVERRIDE.get() {
-        return n.max(1);
-    }
     if let Some(n) = std::env::var("EXL_EVAL_THREADS")
         .ok()
         .and_then(|s| s.parse::<usize>().ok())
@@ -68,52 +65,18 @@ pub(crate) fn workers() -> usize {
         .min(8)
 }
 
-thread_local! {
-    /// Per-run worker-count override installed by [`run_program_opts`]
-    /// for the duration of the run. Thread-local rather than process
-    /// global: the sharded dispatcher runs several evaluations
-    /// concurrently with different counts, and a process-global setting
-    /// (like the old `EXL_NO_FUSION` env toggle) would race under the
-    /// parallel test harness.
-    static THREAD_OVERRIDE: std::cell::Cell<Option<usize>> =
-        const { std::cell::Cell::new(None) };
-}
-
-/// RAII restore of the thread-local worker override.
-struct ThreadsGuard(Option<usize>);
-
-impl ThreadsGuard {
-    fn install(n: Option<usize>) -> ThreadsGuard {
-        let prev = THREAD_OVERRIDE.get();
-        if n.is_some() {
-            THREAD_OVERRIDE.set(n);
-        }
-        ThreadsGuard(prev)
-    }
-}
-
-impl Drop for ThreadsGuard {
-    fn drop(&mut self) {
-        THREAD_OVERRIDE.set(self.0);
-    }
-}
-
 /// Per-run evaluation options.
 ///
-/// Both switches default to the fast path and exist so that callers — the
+/// The switch defaults to the fast path and exists so that callers — the
 /// engine dispatcher, differential tests, `exlc` — can pin behavior *per
-/// run* instead of through process-global environment variables, which
-/// race under a parallel test harness. `exlc` still reads `EXL_NO_FUSION`
-/// and `EXL_EVAL_THREADS` as CLI-level defaults.
+/// run* instead of through a process-global environment variable, which
+/// races under a parallel test harness. `exlc` still reads `EXL_NO_FUSION`
+/// as a CLI-level default.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalOptions {
     /// Skip plan compilation and run the statement-at-a-time reference
     /// evaluator. Bit-identical results either way.
     pub no_fusion: bool,
-    /// Fixed worker count for data-parallel operators; `None` probes the
-    /// machine (capped at 8). The fold-then-merge contract makes the
-    /// setting invisible in results.
-    pub threads: Option<usize>,
 }
 
 /// Seasonal period implied by a time frequency, shared by every backend so
@@ -240,7 +203,6 @@ pub fn run_program_with_stats_opts(
     input: &Dataset,
     opts: EvalOptions,
 ) -> Result<(Dataset, crate::plan::PlanStats), EvalError> {
-    let _threads = ThreadsGuard::install(opts.threads);
     if opts.no_fusion {
         let env = run_program_unfused(analyzed, input)?;
         return Ok((env, crate::plan::PlanStats::default()));
@@ -666,8 +628,9 @@ fn worker_fault(e: exl_fault::FaultError) -> EvalError {
 
 /// Worker-entry hook: the `eval.worker` fault site plus one governance
 /// checkpoint against the dispatching thread's governor (thread-locals do
-/// not cross `thread::scope`, so the governor is captured outside and
-/// checked here). Checked once per partition — the partition body stays
+/// not cross `thread::scope`, so the governor — and with it the fault
+/// plan — is captured outside by [`exl_fault::govern::worker_governor`]
+/// and installed here). Checked once per partition — the partition body stays
 /// checkpoint-free so the fold-then-merge bit discipline is untouched.
 pub(crate) fn worker_entry(
     governor: &Option<exl_fault::govern::Governor>,
@@ -703,7 +666,7 @@ fn map_measures(
         }
     } else {
         let chunk = n.div_ceil(threads);
-        let governor = exl_fault::govern::governor();
+        let governor = exl_fault::govern::worker_governor();
         let joined: Vec<Result<(), EvalError>> = std::thread::scope(|s| {
             let governor = &governor;
             let handles: Vec<_> = measures
@@ -759,7 +722,7 @@ pub(crate) fn probe_combine(
         }
     } else {
         let chunk = keys.len().div_ceil(threads);
-        let governor = exl_fault::govern::governor();
+        let governor = exl_fault::govern::worker_governor();
         let joined: Vec<Result<(), EvalError>> = std::thread::scope(|s| {
             let governor = &governor;
             let handles: Vec<_> = keys
@@ -1043,7 +1006,7 @@ fn aggregate_partitioned(
     let keys = batch.keys();
     let measures = batch.measures();
     let chunk = keys.len().div_ceil(partitions).max(1);
-    let governor = exl_fault::govern::governor();
+    let governor = exl_fault::govern::worker_governor();
     let locals: Vec<Result<FxHashMap<IKey, GroupAcc>, EvalError>> = std::thread::scope(|s| {
         let governor = &governor;
         let handles: Vec<_> = (0..partitions)
@@ -1221,7 +1184,7 @@ pub(crate) fn series_batch(
         return Ok(out);
     }
     let chunk = slice_list.len().div_ceil(threads);
-    let governor = exl_fault::govern::governor();
+    let governor = exl_fault::govern::worker_governor();
     let parts: Vec<Result<Vec<(IKey, f64)>, EvalError>> = std::thread::scope(|s| {
         let run_slice = &run_slice;
         let governor = &governor;

@@ -24,7 +24,6 @@ pub mod delta;
 pub mod error;
 pub mod eval;
 pub mod plan;
-pub mod shard;
 
 pub use delta::{changed_keys, delta_shape, eval_statement_delta, DeltaShape};
 pub use error::EvalError;
@@ -33,4 +32,3 @@ pub use eval::{
     run_program_with_stats, run_program_with_stats_opts, series_period, EvalOptions, EvalSession,
 };
 pub use plan::{plan_description, PlanDescription, PlanStats, RegionDesc};
-pub use shard::{plan_shards, ShardPlan, ShardSegment};

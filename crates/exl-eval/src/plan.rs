@@ -974,7 +974,7 @@ pub(crate) fn run_stream(
     }
     let mut out = CubeBatch::with_capacity(n);
     let chunk = n.div_ceil(threads);
-    let governor = exl_fault::govern::governor();
+    let governor = exl_fault::govern::worker_governor();
     let parts: Vec<Result<Vec<(IKey, f64)>, EvalError>> = std::thread::scope(|s| {
         let governor = &governor;
         let handles: Vec<_> = (0..threads)

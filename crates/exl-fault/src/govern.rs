@@ -299,12 +299,15 @@ impl RunBudget {
 /// A governor also names its run ([`Governor::run`]): a fresh flight
 /// recorder run id per [`Governor::new`], shared by every child, so
 /// installing a governor on a worker thread tags that thread's flight
-/// events with the run that spawned the work.
+/// events with the run that spawned the work. The fault plan the
+/// creating thread runs under (if any) travels the same way: installing
+/// the governor elsewhere runs that thread under the plan too.
 #[derive(Debug, Clone, Default)]
 pub struct Governor {
     token: CancelToken,
     budget: Arc<RunBudget>,
     run: u64,
+    faults: Option<crate::PlanHandle>,
 }
 
 impl Governor {
@@ -314,6 +317,7 @@ impl Governor {
             token,
             budget: Arc::new(budget),
             run: exl_obs::flight::next_run_id(),
+            faults: crate::current_plan(),
         }
     }
 
@@ -323,9 +327,13 @@ impl Governor {
         self.run
     }
 
-    /// An ungoverned governor: never cancelled, unlimited budget.
+    /// An ungoverned governor: never cancelled, unlimited budget. It
+    /// still carries the calling thread's fault plan.
     pub fn detached() -> Governor {
-        Governor::default()
+        Governor {
+            faults: crate::current_plan(),
+            ..Governor::default()
+        }
     }
 
     /// A governor whose token is a child of this one, over the same
@@ -335,6 +343,7 @@ impl Governor {
             token: self.token.child(),
             budget: Arc::clone(&self.budget),
             run: self.run,
+            faults: self.faults.clone(),
         }
     }
 
@@ -384,6 +393,7 @@ thread_local! {
 #[must_use = "the governor is uninstalled when the guard drops"]
 pub struct GovernorGuard {
     _run: Option<exl_obs::flight::RunScope>,
+    _faults: Option<crate::PlanScope>,
 }
 
 impl Drop for GovernorGuard {
@@ -396,13 +406,26 @@ impl Drop for GovernorGuard {
 
 /// Install `governor` as this thread's ambient governor until the guard
 /// drops, entering its flight recorder run (a detached governor leaves
-/// the thread's run as it is). Worker threads must re-install
-/// explicitly: thread-locals do not propagate across
+/// the thread's run as it is) and its fault plan (a governor created
+/// outside any plan leaves the thread's plan as it is). Worker threads
+/// must re-install explicitly: thread-locals do not propagate across
 /// `thread::spawn`/`thread::scope`.
 pub fn set_governor(governor: Governor) -> GovernorGuard {
     let run = (governor.run != 0).then(|| exl_obs::flight::enter_run(governor.run));
+    let faults = governor.faults.as_ref().map(crate::PlanHandle::enter);
     CURRENT.with(|c| c.borrow_mut().push(governor));
-    GovernorGuard { _run: run }
+    GovernorGuard {
+        _run: run,
+        _faults: faults,
+    }
+}
+
+/// The governor a data-parallel worker installs: the ambient one, or —
+/// on an ungoverned thread that runs under a fault plan — a detached
+/// governor carrying just that plan, so the worker's fault sites answer
+/// to the plan of the thread that spawned it.
+pub fn worker_governor() -> Option<Governor> {
+    governor().or_else(|| crate::current_plan().map(|_| Governor::detached()))
 }
 
 /// This thread's ambient governor, if one is installed (cloned — cheap,

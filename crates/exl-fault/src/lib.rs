@@ -10,11 +10,18 @@
 //! is also recorded into the [`exl_obs::flight`] event ring (inert when
 //! that recorder is disarmed), so crash bundles name the fault site.
 //!
-//! Installation is process-global (the instrumented code must not carry
-//! an injector through every signature), therefore [`install`] serializes
-//! installers: the returned [`FaultGuard`] holds a global lock, so two
-//! chaos tests in one test binary never see each other's plan. Dropping
-//! the guard disarms injection.
+//! A plan is scoped to the run that installed it, not to the process.
+//! [`install`] arms it for the installing thread; a
+//! [`govern::Governor`] created there carries it, its children inherit
+//! it, and installing a governor on a worker thread enters it — the
+//! same route the flight recorder's run id travels. A thread the engine
+//! did not spawn joins explicitly ([`FaultGuard::enter`]). A site on a
+//! thread outside the plan neither counts nor fires, so an unrelated
+//! run in the same process never consumes a planned occurrence.
+//! Installers are still serialized — the returned [`FaultGuard`] holds a
+//! global lock — because chaos tests also set process-wide environment
+//! variables while their plan is armed. Dropping the guard disarms
+//! injection.
 //!
 //! The known sites are listed in [`SITES`]; [`FaultPlan::from_seed`]
 //! picks one site, occurrence, and action from a seed (splitmix64, no
@@ -24,10 +31,11 @@
 
 pub mod govern;
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Injection sites instrumented across the workspace. Seed-driven plans
@@ -239,73 +247,122 @@ struct ActiveState {
     fired: Vec<FiredFault>,
 }
 
+/// An installed plan's live state, shared by every thread that runs
+/// under it. Entering it ([`PlanHandle::enter`]) makes this thread's
+/// fault sites answer to the plan.
+#[derive(Debug, Clone)]
+pub(crate) struct PlanHandle(Arc<Mutex<ActiveState>>);
+
+impl PlanHandle {
+    fn state(&self) -> MutexGuard<'_, ActiveState> {
+        // a panic while holding the state lock is an injected panic, not
+        // a corrupted state: keep going
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Run this thread under the plan until the returned scope drops.
+    pub(crate) fn enter(&self) -> PlanScope {
+        PlanScope {
+            prev: PLAN.with(|p| p.replace(Some(self.clone()))),
+        }
+    }
+}
+
+/// Restores the thread's previous fault plan on drop (see
+/// [`FaultGuard::enter`]).
+#[must_use = "the thread leaves the plan when the scope drops"]
+pub struct PlanScope {
+    prev: Option<PlanHandle>,
+}
+
+impl Drop for PlanScope {
+    fn drop(&mut self) {
+        PLAN.with(|p| *p.borrow_mut() = self.prev.take());
+    }
+}
+
+thread_local! {
+    /// The plan this thread's fault sites answer to.
+    static PLAN: RefCell<Option<PlanHandle>> = const { RefCell::new(None) };
+}
+
+/// The plan this thread runs under, if any.
+pub(crate) fn current_plan() -> Option<PlanHandle> {
+    PLAN.with(|p| p.borrow().clone())
+}
+
+/// Whether any plan is installed: the disarmed fast path of [`check`].
 static ARMED: AtomicBool = AtomicBool::new(false);
-static STATE: Mutex<Option<ActiveState>> = Mutex::new(None);
 /// Serializes installers so concurrent chaos tests cannot interleave.
 static INSTALL_LOCK: Mutex<()> = Mutex::new(());
-
-fn state() -> MutexGuard<'static, Option<ActiveState>> {
-    // a panic while holding the state lock is an injected panic, not a
-    // corrupted state: keep going
-    STATE.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Arms a [`FaultPlan`]; disarms and releases the installer lock on drop.
 #[must_use = "the plan is disarmed when the guard drops"]
 pub struct FaultGuard {
+    plan: PlanHandle,
+    _scope: PlanScope,
     _lock: MutexGuard<'static, ()>,
 }
 
 impl FaultGuard {
     /// Faults that have fired so far under this installation.
     pub fn fired(&self) -> Vec<FiredFault> {
-        state()
-            .as_ref()
-            .map(|s| s.fired.clone())
-            .unwrap_or_default()
+        self.plan.state().fired.clone()
     }
 
     /// Number of faults fired so far.
     pub fn fired_count(&self) -> usize {
-        state().as_ref().map(|s| s.fired.len()).unwrap_or(0)
+        self.plan.state().fired.len()
+    }
+
+    /// Run the calling thread under this plan until the returned scope
+    /// drops — how a thread the engine did not spawn joins the plan.
+    pub fn enter(&self) -> PlanScope {
+        self.plan.enter()
     }
 }
 
 impl Drop for FaultGuard {
     fn drop(&mut self) {
         ARMED.store(false, Ordering::SeqCst);
-        *state() = None;
+        // governors created under the plan may outlive the guard: an
+        // empty plan never fires
+        self.plan.state().specs.clear();
     }
 }
 
-/// Install a fault plan process-wide. Blocks until any previously
-/// installed plan is dropped; injection stays armed until the returned
-/// guard drops.
+/// Install a fault plan for the calling thread and everything it
+/// governs (see the crate docs). Blocks until any previously installed
+/// plan is dropped; injection stays armed until the returned guard drops.
 pub fn install(plan: FaultPlan) -> FaultGuard {
     let lock = INSTALL_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    *state() = Some(ActiveState {
+    let handle = PlanHandle(Arc::new(Mutex::new(ActiveState {
         specs: plan.specs,
-        counts: BTreeMap::new(),
-        fired: Vec::new(),
-    });
+        ..ActiveState::default()
+    })));
     ARMED.store(true, Ordering::SeqCst);
-    FaultGuard { _lock: lock }
+    FaultGuard {
+        _scope: handle.enter(),
+        plan: handle,
+        _lock: lock,
+    }
 }
 
 /// The per-site hook the instrumented code calls. Free when no plan is
-/// installed (one atomic load). With a plan armed: counts the execution,
-/// and if a spec matches this occurrence, performs its action — returns
-/// `Err` for [`FaultAction::Error`], panics for [`FaultAction::Panic`],
-/// sleeps then returns `Ok` for [`FaultAction::Delay`].
+/// installed (one atomic load), and a thread-local read when the calling
+/// thread runs under no plan. Under a plan: counts the execution, and if
+/// a spec matches this occurrence, performs its action — returns `Err`
+/// for [`FaultAction::Error`], panics for [`FaultAction::Panic`], sleeps
+/// then returns `Ok` for [`FaultAction::Delay`].
 pub fn check(site: &str) -> Result<(), FaultError> {
     if !ARMED.load(Ordering::Relaxed) {
         return Ok(());
     }
+    let Some(plan) = current_plan() else {
+        return Ok(());
+    };
     let (action, occurrence) = {
-        let mut guard = state();
-        let Some(active) = guard.as_mut() else {
-            return Ok(());
-        };
+        let mut active = plan.state();
         let count = active.counts.entry(site.to_string()).or_insert(0);
         *count += 1;
         let occurrence = *count;

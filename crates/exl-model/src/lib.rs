@@ -22,9 +22,6 @@
 //! * [`fingerprint`] — order-independent 128-bit content hashes of cubes
 //!   and ordered fingerprint chains for derivation steps, the identities
 //!   the incremental run cache keys on;
-//! * [`shard`] — deterministic hash partitioning of cube data by one
-//!   dimension, and the disjoint concatenation the sharded dispatcher
-//!   merges per-shard results with;
 //! * [`dataset`] — named cube collections, the instances programs run over;
 //! * [`csv`] — flat-file import/export for cube data.
 //!
@@ -42,7 +39,6 @@ pub mod fingerprint;
 pub mod hash;
 pub mod intern;
 pub mod schema;
-pub mod shard;
 pub mod time;
 pub mod value;
 

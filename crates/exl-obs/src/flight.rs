@@ -15,7 +15,7 @@
 //!
 //! Every event is tagged with the *run* that recorded it: the id this
 //! thread entered with [`enter_run`]. The engine enters a fresh id per
-//! run, and the id travels to supervisor, shard and evaluator worker
+//! run, and the id travels to supervisor and evaluator worker
 //! threads with the run's governor (installing a governor enters its
 //! run). The ring is shared by every run in the process, so a consumer
 //! that wants one run's story filters by id ([`tail_for_run`]).
@@ -72,16 +72,6 @@ pub enum FlightKind {
     /// The plan compiler reused a structurally identical subexpression
     /// across statements (site = target, detail = reuse count).
     PlanCse,
-    /// The dispatcher partitioned a native subgraph across shards
-    /// (site = target, detail = shard dim + count).
-    ShardDispatch,
-    /// Per-shard outputs were concatenated at a subgraph boundary
-    /// (site = target, detail = shard + row counts).
-    ShardMerge,
-    /// One shard of a warm run actually re-executed instead of
-    /// replaying from its per-shard cache entry (site = target,
-    /// detail = shard index).
-    ShardReplay,
 }
 
 impl FlightKind {
@@ -104,9 +94,6 @@ impl FlightKind {
             FlightKind::Run => "run",
             FlightKind::PlanFuse => "plan.fuse",
             FlightKind::PlanCse => "plan.cse",
-            FlightKind::ShardDispatch => "shard.dispatch",
-            FlightKind::ShardMerge => "shard.merge",
-            FlightKind::ShardReplay => "shard.replay",
         }
     }
 }
@@ -396,9 +383,6 @@ mod tests {
             FlightKind::Run,
             FlightKind::PlanFuse,
             FlightKind::PlanCse,
-            FlightKind::ShardDispatch,
-            FlightKind::ShardMerge,
-            FlightKind::ShardReplay,
         ];
         let names: std::collections::BTreeSet<&str> = kinds.iter().map(|k| k.as_str()).collect();
         assert_eq!(names.len(), kinds.len());
@@ -406,7 +390,5 @@ mod tests {
         assert!(names.contains("govern.trip"));
         assert!(names.contains("plan.fuse"));
         assert!(names.contains("plan.cse"));
-        assert!(names.contains("shard.dispatch"));
-        assert!(names.contains("shard.replay"));
     }
 }

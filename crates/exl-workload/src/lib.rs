@@ -12,7 +12,7 @@
 //! * [`chains`] — deep tuple-level statement chains for the translation
 //!   (B1) and fusion (B6) benchmarks;
 //! * [`wide`] — million-row wide cubes over a high-cardinality text
-//!   dimension, the workload of the sharded-dispatch benchmark (B5).
+//!   dimension, the benchmark's `wide` workload.
 
 #![warn(missing_docs)]
 

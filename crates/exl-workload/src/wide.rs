@@ -1,13 +1,13 @@
-//! Wide synthetic cubes for the sharded-dispatch benchmark (B5).
+//! Wide synthetic cubes: one native subgraph whose *data* is wide.
 //!
-//! The sharding tier needs one native subgraph whose *data* is wide —
-//! millions of rows across a high-cardinality text dimension — rather
-//! than a program that is deep or broad. [`wide_scenario`] builds a
-//! single `(q: time[quarter], r: text)` cube of `regions × quarters`
-//! rows plus a short all-row-wise statement chain over it (every
-//! statement shard-local on `r`), optionally capped by one aggregation
-//! that drops `r` — a merge barrier, so the sharded dispatcher's
-//! concatenate-then-aggregate path is on the measured route too.
+//! The `wide` benchmark workload needs millions of rows across a
+//! high-cardinality text dimension rather than a program that is deep
+//! or broad. [`wide_scenario`] builds a single `(q: time[quarter],
+//! r: text)` cube of `regions × quarters` rows plus a short row-wise
+//! statement chain and two per-region series over it, optionally capped
+//! by one aggregation that drops `r`, so interning, fused kernels,
+//! series, aggregation and materialization are all on the measured
+//! route.
 
 use exl_lang::analyze::{analyze, AnalyzedProgram};
 use exl_lang::parser::parse_program;
@@ -17,14 +17,13 @@ use exl_model::{Cube, CubeData, Dataset, TimePoint};
 /// Shape of a wide-cube scenario.
 #[derive(Debug, Clone, Copy)]
 pub struct WideConfig {
-    /// Cardinality of the text dimension `r` (the shard key).
+    /// Cardinality of the text dimension `r` (one series per region).
     pub regions: usize,
     /// Length of the quarterly series per region.
     pub quarters: usize,
     /// Deterministic value jitter seed.
     pub seed: u64,
-    /// Append `T := sum(C, group by q)` — an aggregation dropping `r`,
-    /// which the shard planner classifies as a global merge barrier.
+    /// Append `T := sum(C, group by q)` — an aggregation dropping `r`.
     pub barrier: bool,
 }
 
@@ -42,10 +41,8 @@ impl Default for WideConfig {
 /// The program text: a row-wise chain plus two per-region series over
 /// the wide cube, optionally capped by a cross-region aggregation.
 ///
-/// The series statements (`movavg`) pin the shard planner to the region
-/// dimension: they are shard-local on `r` but not on the time dimension
-/// `q`, so `r`'s locality score strictly beats `q`'s and the `group by
-/// q` cap really is a merge barrier (it drops `r`).
+/// The series statements (`movavg`) run one slice per region, so a
+/// revision of one region's observations touches one slice of each.
 pub fn wide_program(barrier: bool) -> String {
     let mut src = String::from(
         "cube W(q: time[quarter], r: text) -> v;\n\
@@ -123,23 +120,5 @@ mod tests {
         assert_eq!(a.data(&"W".into()), b.data(&"W".into()));
         let (_, c) = wide_scenario(WideConfig { seed: 8, ..cfg });
         assert_ne!(a.data(&"W".into()), c.data(&"W".into()));
-    }
-
-    #[test]
-    fn wide_admits_a_shard_plan_on_the_region_dimension() {
-        let (analyzed, _) = wide_scenario(WideConfig {
-            regions: 4,
-            quarters: 4,
-            seed: 1,
-            barrier: true,
-        });
-        let stmts = analyzed.program.statements.clone();
-        let plan = exl_eval::plan_shards(&stmts, &|id| analyzed.schemas.get(id).cloned())
-            .expect("wide program shards");
-        // the movavg statements are local on `r` but not on the time dim,
-        // so the planner must shard on the region dimension, leaving the
-        // `group by q` cap as the one merge barrier
-        assert_eq!(plan.dim, "r", "{}", plan.describe());
-        assert_eq!(plan.local_statements, 5, "{}", plan.describe());
     }
 }

@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Run the B-series Criterion groups (B1 translation, B2 backends, B3
-# chase, B4 vintage-update, B5 sharding) at their built-in small
-# scales, then
+# chase, B4 vintage-update) at their built-in small scales, then
 # snapshot each group's medians (ns) and throughput (rows/s, where the
 # bench records element counts) into BENCH_B*.json at the repo root.
 #
@@ -19,7 +18,7 @@ cd "$(dirname "$0")/.."
 MEAS="${BENCH_MEASURE_SECS:-2}"
 WARM="${BENCH_WARMUP_SECS:-1}"
 
-for bench in translation backends chase vintage sharding; do
+for bench in translation backends chase vintage; do
   cargo bench -q -p exl-bench --bench "$bench" -- \
     --measurement-time "$MEAS" --warm-up-time "$WARM" "$@"
 done

@@ -99,7 +99,7 @@ def write_snapshots(repo_root: pathlib.Path, groups) -> None:
             "group": group,
             "unit": "ns",
             # medians are only comparable across hosts with the same
-            # parallelism — the sharded tiers (B5) scale with it
+            # parallelism — the parallel kernels scale with it
             "host_cores": os.cpu_count(),
             "benches": [
                 {

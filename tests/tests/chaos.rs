@@ -3,9 +3,10 @@
 //! commits, retries, panic containment, deadlines, and the `keep_going`
 //! degradation mode.
 //!
-//! Every test installs a fault plan through [`exl_fault::install`], whose
-//! guard serializes chaos tests process-wide, so these tests are safe
-//! under the default parallel test runner.
+//! Every test installs a fault plan through [`exl_fault::install`]. The
+//! plan is scoped to the installing thread and the runs it governs, and
+//! the guard serializes installers, so these tests are safe under the
+//! default parallel test runner.
 
 use std::time::Duration;
 
@@ -53,6 +54,36 @@ fn failed_run_leaves_catalog_byte_identical() {
     let err = e.run_all().unwrap_err();
     assert!(matches!(err, EngineError::Execution(_)), "{err}");
     assert_eq!(e.catalog.to_json().unwrap(), before);
+}
+
+/// Fault plans are scoped to the run that installed them: while one
+/// thread holds a plan that fails every native execution, an engine run
+/// on a thread that never joined the plan completes untouched — and the
+/// plan still fires for a run on its own thread.
+#[test]
+fn a_plan_never_fires_in_a_concurrent_run_that_did_not_join_it() {
+    let armed = std::sync::Barrier::new(2);
+    let done = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let guard = exl_fault::install(FaultPlan::fail_always("exec.native"));
+            armed.wait();
+            // hold the plan until the other run has finished
+            done.wait();
+            let mut own = gdp_engine(TargetKind::Native);
+            assert!(
+                own.run_all().is_err(),
+                "the plan must fire on its own thread"
+            );
+            assert_eq!(guard.fired_count(), 1);
+        });
+        armed.wait();
+        let mut other = gdp_engine(TargetKind::Native);
+        let result = other.run_all();
+        done.wait();
+        let report = result.expect("a run outside the plan is untouched");
+        assert!(report.failed.is_empty());
+    });
 }
 
 /// The retry half of the same criterion: with `retries ≥ 1` a one-shot
@@ -966,141 +997,4 @@ fn cancel_during_cache_write_leaves_store_readable() {
     );
     assert_gdp_reference(&e, "replay over cancel-interrupted store");
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-// ---------------------------------------------------------------------------
-// Sharded dispatch under injected faults. A fault inside one shard worker
-// must be attributed to that shard (`shard {i}/{n}: ...`), abort the
-// whole subgraph transactionally under the default policy, and degrade
-// to that subgraph alone under `keep_going` — sibling subgraphs on other
-// targets still commit. See `crates/exl-engine/src/shard.rs`.
-// ---------------------------------------------------------------------------
-
-use exl_workload::{wide_program, wide_scenario, WideConfig};
-
-/// A small instance of the B5 wide workload, sharded `shards` ways: five
-/// shard-local statements over `(q, r)` plus a cross-region merge
-/// barrier, all native, so `exec.native` faults land inside shard
-/// workers.
-fn wide_sharded_engine(shards: usize) -> ExlEngine {
-    let cfg = WideConfig {
-        regions: 24,
-        quarters: 8,
-        seed: 11,
-        barrier: true,
-    };
-    let (analyzed, data) = wide_scenario(cfg);
-    let mut e = ExlEngine::new();
-    e.shards = Some(shards);
-    e.register_program("wide", &wide_program(cfg.barrier))
-        .unwrap();
-    for id in analyzed.elementary_inputs() {
-        e.load_elementary(&id, data.data(&id).unwrap().clone())
-            .unwrap();
-    }
-    e
-}
-
-/// An injected execution failure in one shard aborts the run under the
-/// default fail-fast policy, rolls the catalog back byte-identically,
-/// and the error names the failing shard.
-#[test]
-fn sharded_failure_aborts_transactionally_and_names_the_shard() {
-    let mut e = wide_sharded_engine(4);
-    let before = e.catalog.to_json().unwrap();
-    let guard = exl_fault::install(FaultPlan::fail_once("exec.native"));
-    let err = e.run_all().unwrap_err();
-    assert_eq!(guard.fired_count(), 1);
-    let EngineError::Execution(msg) = &err else {
-        panic!("expected an execution error, got {err}");
-    };
-    assert!(
-        msg.contains("shard ") && msg.contains("/4: "),
-        "error does not name the failing shard: {msg}"
-    );
-    assert_eq!(e.catalog.to_json().unwrap(), before);
-}
-
-/// A panicking shard worker is contained exactly like a panicking
-/// backend thread: the run returns `EngineError::Panic` (no propagation
-/// into the test harness), the message names the shard, and the catalog
-/// rolls back.
-#[test]
-fn sharded_panic_is_contained_and_names_the_shard() {
-    let mut e = wide_sharded_engine(4);
-    let before = e.catalog.to_json().unwrap();
-    let _guard = exl_fault::install(FaultPlan::panic_once("exec.native"));
-    let err = e.run_all().unwrap_err();
-    let EngineError::Panic { target, message } = &err else {
-        panic!("expected a contained panic, got {err}");
-    };
-    assert_eq!(target, "native");
-    assert!(
-        message.contains("shard ") && message.contains("/4: ") && message.contains("injected"),
-        "panic message does not name the failing shard: {message}"
-    );
-    assert_eq!(e.catalog.to_json().unwrap(), before);
-}
-
-/// A stalled shard worker is cut off by the per-subgraph deadline. The
-/// timeout keeps its typed variant (no shard prefix — wrapping it would
-/// break the governance classification), and nothing commits.
-#[test]
-fn sharded_deadline_cuts_off_stalled_shard() {
-    let mut e = wide_sharded_engine(4);
-    e.policy.subgraph_timeout = Some(Duration::from_millis(30));
-    let before = e.catalog.to_json().unwrap();
-    let _guard = exl_fault::install(FaultPlan::delay_once("exec.native", 300));
-    let err = e.run_all().unwrap_err();
-    assert!(
-        matches!(err, EngineError::Timeout { millis: 30, .. }),
-        "{err}"
-    );
-    assert_eq!(e.catalog.to_json().unwrap(), before);
-}
-
-/// Under `keep_going`, a fault in one shard fails only the sharded
-/// subgraph: an independent subgraph on another target still commits,
-/// and the failed subgraph's report carries the shard-attributed error.
-#[test]
-fn keep_going_contains_shard_failure_to_its_subgraph() {
-    let mut e = wide_sharded_engine(4);
-    // an independent SQL subgraph that no native fault can touch
-    e.register_program("extra", "cube V(k: int) -> v; D := 3 * V;")
-        .unwrap();
-    e.load_elementary(
-        &"V".into(),
-        CubeData::from_tuples(vec![(vec![DimValue::Int(1)], 10.0)]).unwrap(),
-    )
-    .unwrap();
-    e.catalog
-        .set_affinity(&"D".into(), Some(TargetKind::Sql))
-        .unwrap();
-    e.policy.keep_going = true;
-    let _guard = exl_fault::install(FaultPlan::fail_once("exec.native"));
-    let report = e.run_all().unwrap();
-    assert!(
-        report.failed.contains(&"A".into()) && report.failed.contains(&"T".into()),
-        "sharded subgraph not reported failed: {:?}",
-        report.failed
-    );
-    assert_eq!(report.computed, vec!["D".into()]);
-    assert_eq!(
-        e.data(&"D".into()).unwrap().get(&[DimValue::Int(1)]),
-        Some(30.0)
-    );
-    assert!(
-        e.data(&"C".into()).is_none(),
-        "failed shard output committed"
-    );
-    let failing = report
-        .subgraphs
-        .iter()
-        .find(|s| s.status == SubgraphStatus::Failed)
-        .expect("failed subgraph reported");
-    let msg = failing.error.as_ref().expect("failure recorded");
-    assert!(
-        msg.contains("shard ") && msg.contains("/4: "),
-        "report error does not name the failing shard: {msg}"
-    );
 }

@@ -295,50 +295,6 @@ fn failed_run_still_appends_a_ledger_record() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A panic inside one shard of a sharded native subgraph produces a
-/// bundle whose error message names the failing shard (`shard {i}/{n}:`)
-/// and whose failing subgraph lists the sharded cubes — the post-mortem
-/// starts with the partition, not just the subgraph.
-#[test]
-fn sharded_panic_bundle_names_the_failing_shard() {
-    use exl_workload::{wide_program, wide_scenario, WideConfig};
-    let dir = bundle_dir("shard");
-    let cfg = WideConfig {
-        regions: 24,
-        quarters: 8,
-        seed: 11,
-        barrier: true,
-    };
-    let (analyzed, data) = wide_scenario(cfg);
-    let mut e = ExlEngine::new();
-    e.shards = Some(4);
-    e.register_program("wide", &wide_program(cfg.barrier))
-        .unwrap();
-    for id in analyzed.elementary_inputs() {
-        e.load_elementary(&id, data.data(&id).unwrap().clone())
-            .unwrap();
-    }
-    e.set_bundle_dir(&dir).unwrap();
-    let _guard = exl_fault::install(FaultPlan::panic_once("exec.native"));
-    e.run_all().unwrap_err();
-    let bundle = read_single_bundle(&dir);
-    assert_eq!(bundle.error.kind, "panic");
-    assert!(
-        bundle.error.message.contains("shard ") && bundle.error.message.contains("/4: "),
-        "bundle error does not name the failing shard: {}",
-        bundle.error.message
-    );
-    let failing = bundle.failing_subgraph.expect("failing subgraph named");
-    assert_eq!(failing.status, "failed");
-    assert!(
-        failing.cubes.contains(&"C".to_string()),
-        "{:?}",
-        failing.cubes
-    );
-    assert_eq!(bundle.fault_sites, vec!["exec.native".to_string()]);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
 /// Run scoping: two engines fail concurrently in one process, each at
 /// its own fault site. The flight ring is shared, yet each bundle holds
 /// only the events its own run recorded — its fault site and none of
@@ -347,7 +303,7 @@ fn sharded_panic_bundle_names_the_failing_shard() {
 fn concurrent_failed_runs_write_run_scoped_bundles() {
     let plan =
         FaultPlan::one("exec.native", 0, FaultAction::Panic).and("exec.sql", 0, FaultAction::Error);
-    let _guard = exl_fault::install(plan);
+    let guard = exl_fault::install(plan);
     let dirs = [
         bundle_dir("concurrent-native"),
         bundle_dir("concurrent-sql"),
@@ -357,7 +313,11 @@ fn concurrent_failed_runs_write_run_scoped_bundles() {
     std::thread::scope(|s| {
         for (dir, target) in dirs.iter().zip(targets) {
             let start = &start;
+            let guard = &guard;
             s.spawn(move || {
+                // the plan is scoped to the installing thread: these
+                // test threads join it explicitly
+                let _plan = guard.enter();
                 let mut e = gdp_engine(target);
                 e.set_bundle_dir(dir).unwrap();
                 start.wait();

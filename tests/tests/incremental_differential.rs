@@ -238,3 +238,55 @@ fn warm_one_cube_delta_skips_5x_statements() {
     cold_engine.run_all().expect("cold reference run");
     assert_bit_identical(&analyzed, &e, &cold_engine, "forest 1-cube delta");
 }
+
+/// Series statements patch per slice: on the wide workload (40 regions ×
+/// 12 quarters), revising one region's observation re-derives only that
+/// region's slice of the two `movavg` series. Every statement resolves
+/// through the cache (exact hit or delta patch), none executes in full,
+/// and the result is bit-identical to a cache-free engine over the
+/// patched data.
+#[test]
+fn one_region_delta_patches_every_wide_statement_warm() {
+    use exl_model::value::DimValue;
+    use exl_workload::{wide_program, wide_scenario, WideConfig};
+    let cfg = WideConfig {
+        regions: 40,
+        quarters: 12,
+        seed: 3,
+        barrier: true,
+    };
+    let (analyzed, input) = wide_scenario(cfg);
+    let src = wide_program(cfg.barrier);
+    let mut e = build_engine(&src, &analyzed, &input);
+    e.enable_cache();
+    e.run_all().expect("cold wide run");
+
+    let w: CubeId = "W".into();
+    let mut patched = input.data(&w).expect("wide input").clone();
+    patched.insert_overwrite(
+        vec![
+            DimValue::Time(exl_model::TimePoint::Quarter {
+                year: 2000,
+                quarter: 1,
+            }),
+            DimValue::Str("r00007".into()),
+        ],
+        999.25,
+    );
+    e.load_elementary(&w, patched.clone()).expect("patch loads");
+    let report = e
+        .recompute(std::slice::from_ref(&w))
+        .expect("warm delta recompute");
+    assert_eq!(
+        report.cache.misses, 0,
+        "a one-region delta executed statements in full: {:?}",
+        report.cache
+    );
+
+    let mut patched_input = input.clone();
+    let schema = patched_input.get(&w).expect("wide input").schema.clone();
+    patched_input.put(exl_model::Cube::new(schema, patched));
+    let mut reference = build_engine(&src, &analyzed, &patched_input);
+    reference.run_all().expect("cache-free reference run");
+    assert_bit_identical(&analyzed, &e, &reference, "wide one-region delta");
+}
