@@ -112,7 +112,7 @@ struct Globals {
     metrics_prom: Option<String>,
     trace_path: Option<String>,
     progress: bool,
-    policy: Option<DispatchPolicy>,
+    policy: DispatchPolicy,
     cache_dir: Option<String>,
     no_cache: bool,
     run_deadline_ms: Option<u64>,
@@ -133,8 +133,8 @@ fn exec_from_env() -> exl_engine::ExecOpts {
 }
 
 /// The process-wide external cancellation token. SIGINT cancels it; every
-/// engine run (and supervised run) derives its run token from it, so one
-/// Ctrl-C gracefully cancels whatever is executing and rolls it back.
+/// engine run derives its run token from it, so one Ctrl-C gracefully
+/// cancels whatever is executing and rolls it back.
 static CANCEL: std::sync::OnceLock<exl_engine::CancelToken> = std::sync::OnceLock::new();
 
 /// SIGINT handler: a single atomic store (`raw_cancel`), the only form
@@ -301,30 +301,23 @@ fn extract_globals(args: &mut Vec<String>) -> Result<Globals, String> {
     })
 }
 
-/// Pull the fault-handling flags out of `args`. Returns the default
-/// policy (fail fast, no retry, no deadline) with a `None` marker when no
-/// flag was given; `Some` means `run` should go through the supervisor.
-fn extract_policy(args: &mut Vec<String>) -> Result<Option<DispatchPolicy>, String> {
+/// Pull the fault-handling flags out of `args`; without any the policy
+/// is the default (fail fast, no retry, no deadline).
+fn extract_policy(args: &mut Vec<String>) -> Result<DispatchPolicy, String> {
     let mut policy = DispatchPolicy::default();
-    let mut any = false;
     if let Some(v) = extract_value_flag(args, "--retries")? {
         policy.retries = v
             .parse()
             .map_err(|_| format!("--retries: `{v}` is not a count"))?;
-        any = true;
     }
     if let Some(v) = extract_value_flag(args, "--subgraph-timeout-ms")? {
         let ms: u64 = v
             .parse()
             .map_err(|_| format!("--subgraph-timeout-ms: `{v}` is not a number of milliseconds"))?;
         policy.subgraph_timeout = Some(std::time::Duration::from_millis(ms));
-        any = true;
     }
-    if extract_bool_flag(args, "--keep-going")? {
-        policy.keep_going = true;
-        any = true;
-    }
-    Ok(any.then_some(policy))
+    policy.keep_going = extract_bool_flag(args, "--keep-going")?;
+    Ok(policy)
 }
 
 /// Pull `<flag> <value>` out of `args`. A repeated flag is rejected: the
@@ -430,9 +423,13 @@ fn run(
 
 fn load_program(path: &str, recorder: &dyn Recorder) -> Result<exl_lang::AnalyzedProgram, String> {
     let source = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let program =
-        exl_lang::parse_program_recorded(&source, recorder).map_err(|e| format!("{path}: {e}"))?;
-    exl_lang::analyze_recorded(&program, &[], recorder).map_err(|e| format!("{path}: {e}"))
+    let program = {
+        let _span = exl_obs::span(recorder, "lang.parse");
+        exl_lang::parse_program(&source).map_err(|e| format!("{path}: {e}"))?
+    };
+    recorder.incr_counter("lang.statements", program.statements.len() as u64);
+    let _span = exl_obs::span(recorder, "lang.analyze");
+    exl_lang::analyze(&program, &[]).map_err(|e| format!("{path}: {e}"))
 }
 
 fn check(args: &[String], recorder: &dyn Recorder) -> Result<(), String> {
@@ -544,9 +541,7 @@ fn build_engine(
     if let Some(registry) = metrics {
         e.set_metrics_registry(registry.clone());
     }
-    if let Some(policy) = &globals.policy {
-        e.policy = policy.clone();
-    }
+    e.policy = globals.policy.clone();
     if globals.progress {
         e.progress = Some(ProgressSink::new(|ev| {
             let status = ev.status.name();
@@ -649,10 +644,6 @@ fn do_run(
     install_sigint();
     let analyzed = load_program(path, recorder)?;
     let input = load_input(data_path, &analyzed)?;
-    let keep_going = globals
-        .policy
-        .as_ref()
-        .is_some_and(|policy| policy.keep_going);
 
     // chaos injection: hold the installed plan for the whole run so
     // every backend sees it
@@ -660,83 +651,38 @@ fn do_run(
         Some(spec) => Some(exl_fault::install(parse_fault_plan(spec)?)),
         None => None,
     };
+    let mut e = build_engine(path, &analyzed, &input, metrics, globals, tracer)?;
+    e.default_target = target;
     // --dump-plan: write the compiled-plan overview before executing, so
     // the dump exists even if the run itself fails
     if let Some(dump) = &dump_plan {
-        let e = build_engine(path, &analyzed, &input, metrics, globals, tracer)?;
         let text = render_plan_overview(&e)?;
         std::fs::write(dump, text + "\n").map_err(|e| format!("{dump}: {e}"))?;
         eprintln!("exlc: plan dumped to {dump}");
     }
+    let run_result = e.run_all();
+    if let Some(bundle) = e.last_bundle() {
+        eprintln!("exlc: crash bundle written to {}", bundle.display());
+    }
+    let report = run_result.map_err(|e| e.to_string())?;
+    if report.failed.is_empty() && report.subgraphs.iter().any(|s| s.attempts.len() > 1) {
+        let attempts: usize = report.subgraphs.iter().map(|s| s.attempts.len()).sum();
+        eprintln!("exlc: run succeeded after {attempts} attempts");
+    }
+    if e.cache_enabled() {
+        eprintln!(
+            "exlc: cache: {} hit, {} delta, {} miss ({} stored)",
+            report.cache.hits, report.cache.delta_hits, report.cache.misses, report.cache.stores
+        );
+    }
     let mut result: BTreeMap<String, JsonCube> = BTreeMap::new();
-    let use_cache = globals.cache_dir.is_some() && !globals.no_cache;
-    let use_engine = globals.trace_path.is_some()
-        || globals.progress
-        || use_cache
-        || globals.bundle_dir.is_some()
-        || globals.ledger_dir.is_some();
-    if use_engine {
-        // tracing, progress, the run cache, or an observability sink
-        // asked for: run through the full engine so per-subgraph
-        // dispatch (and cache resolution) is real
-        let mut e = build_engine(path, &analyzed, &input, metrics, globals, tracer)?;
-        e.default_target = target;
-        let run_result = e.run_all();
-        if let Some(bundle) = e.last_bundle() {
-            eprintln!("exlc: crash bundle written to {}", bundle.display());
-        }
-        let report = run_result.map_err(|e| e.to_string())?;
-        if use_cache {
-            eprintln!(
-                "exlc: cache: {} hit, {} delta, {} miss ({} stored)",
-                report.cache.hits,
-                report.cache.delta_hits,
-                report.cache.misses,
-                report.cache.stores
-            );
-        }
-        for id in analyzed.program.derived_ids() {
-            match e.data(&id) {
-                Some(data) => {
-                    result.insert(id.to_string(), data.to_tuples());
-                }
-                None if keep_going => {}
-                None => return Err(format!("target produced no data for {id}")),
+    for id in analyzed.program.derived_ids() {
+        match e.data(&id) {
+            Some(data) => {
+                result.insert(id.to_string(), data.to_tuples());
             }
-        }
-    } else {
-        // no engine in this branch, so install the run governor as the
-        // ambient one: SIGINT and the budget flags still reach every
-        // backend checkpoint
-        let _governor = exl_engine::govern::set_governor(govern_config(globals).run_governor());
-        let output = if let Some(policy) = &globals.policy {
-            // fault-handling flags were given: run under the dispatch
-            // supervisor (which records the subgraph span per attempt)
-            let (output, attempts) = exl_engine::run_on_target_supervised(
-                &analyzed,
-                &input,
-                target,
-                policy,
-                metrics,
-                &exl_obs::Span::disabled(),
-                exec_from_env(),
-            )
-            .map_err(|e| e.to_string())?;
-            if attempts.len() > 1 {
-                eprintln!("exlc: run succeeded after {} attempts", attempts.len());
-            }
-            output
-        } else {
-            // the whole program runs as one subgraph on the chosen target
-            let _span = exl_obs::span(recorder, format!("engine.subgraph.{target}"));
-            exl_engine::run_on_target_opts(&analyzed, &input, target, recorder, exec_from_env())
-                .map_err(|e| e.to_string())?
-        };
-        for id in analyzed.program.derived_ids() {
-            let data = output
-                .data(&id)
-                .ok_or_else(|| format!("target produced no data for {id}"))?;
-            result.insert(id.to_string(), data.to_tuples());
+            None if e.policy.keep_going => {}
+            None => return Err(format!("target produced no data for {id}")),
         }
     }
     out!(

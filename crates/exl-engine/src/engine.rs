@@ -12,14 +12,14 @@ use std::sync::Arc;
 
 use exl_model::schema::{CubeId, CubeKind};
 use exl_model::CubeData;
-use exl_obs::{MetricsRegistry, MetricsSnapshot, NoopRecorder, Recorder};
+use exl_obs::{MetricsRegistry, MetricsSnapshot, NoopRecorder, Recorder, Span};
 
 use crate::cache::{CacheStats, RunCache, StmtCacheCounts};
 use crate::catalog::Catalog;
 use crate::determination::{GlobalGraph, Subgraph};
 use crate::error::EngineError;
 use crate::govern::GovernConfig;
-use crate::supervise::{run_supervised, Attempt, DispatchPolicy, SubgraphStatus};
+use crate::supervise::{panic_message, run_supervised, Attempt, DispatchPolicy, SubgraphStatus};
 use crate::target::{
     dataset_rows, input_schemas, subprogram, translate, ExecOpts, TargetCode, TargetKind,
 };
@@ -151,7 +151,10 @@ pub struct RunReport {
     /// Cubes whose subgraph failed every attempt (only populated under
     /// [`DispatchPolicy::keep_going`]; without it the run aborts).
     pub failed: Vec<CubeId>,
-    /// Metrics gathered during the run (empty unless the engine has
+    /// Snapshot, taken at the end of the run, of the engine's metrics
+    /// registry. The registry lives as long as the engine and accumulates
+    /// across runs, so the snapshot includes every earlier run's counters
+    /// and spans, not just this run's (empty unless the engine has
     /// observability enabled via [`ExlEngine::enable_metrics`]).
     pub metrics: MetricsSnapshot,
     /// Run-cache activity during this run (all zero when the cache is
@@ -194,9 +197,6 @@ impl Default for ExlEngine {
         }
     }
 }
-
-/// Shared no-op recorder used when metrics are disabled.
-static NOOP: NoopRecorder = NoopRecorder;
 
 /// Comma-joined cube list for the `cubes` span attribute.
 fn join_ids(ids: &[CubeId]) -> String {
@@ -566,11 +566,7 @@ impl ExlEngine {
         let subgraphs = self.graph.partition(&plan, &|id| self.affinity_of(id));
         let mut out = Vec::with_capacity(subgraphs.len());
         for sub in subgraphs {
-            let statements: Vec<_> = sub
-                .statements
-                .iter()
-                .map(|&i| self.graph.statements()[i].clone())
-                .collect();
+            let statements = self.statements_of(&sub);
             let inputs = input_schemas(&statements, &|id| self.catalog.schema(id).cloned())?;
             let analyzed = subprogram(&statements, &inputs)?;
             let (code, fallback) = match translate(&analyzed, sub.target) {
@@ -604,7 +600,7 @@ impl ExlEngine {
         let registry = self.metrics.clone();
         let recorder: &dyn Recorder = match &registry {
             Some(r) => r.as_ref(),
-            None => &NOOP,
+            None => &NoopRecorder,
         };
         let tracer = self.tracer.clone();
         // every run gets its own governor (a child of the external token
@@ -626,7 +622,13 @@ impl ExlEngine {
             run_span.set_attr("changed", changed.len() as u64);
             let result = {
                 let _governor = crate::govern::set_governor(run_governor.clone());
-                self.recompute_recorded(changed, registry.as_ref(), recorder, &run_span, &mut obs)
+                // move the cache out of `self` for the duration of the run
+                // so the dispatcher can consult it mutably while borrowing
+                // the catalog
+                let mut cache = self.cache.take();
+                let result = self.run_phases(changed, recorder, &run_span, &mut cache, &mut obs);
+                self.cache = cache;
+                result
             };
             // governance observability: peak accounted memory, whether
             // the run was cancelled, and why
@@ -718,32 +720,51 @@ impl ExlEngine {
         }
     }
 
-    fn recompute_recorded(
+    /// One run's phases: plan, then per dispatch stage admit → dispatch →
+    /// stage outcomes, then the transactional commit.
+    fn run_phases(
         &mut self,
         changed: &[CubeId],
-        registry: Option<&Arc<MetricsRegistry>>,
         recorder: &dyn Recorder,
-        run_span: &exl_obs::Span,
-        obs: &mut RunObservation,
-    ) -> Result<RunReport, EngineError> {
-        // move the cache out of `self` for the duration of the run so the
-        // dispatcher can consult it mutably while borrowing the catalog
-        let mut cache = self.cache.take();
-        let result = self.recompute_inner(changed, registry, recorder, run_span, &mut cache, obs);
-        self.cache = cache;
-        result
-    }
-
-    fn recompute_inner(
-        &mut self,
-        changed: &[CubeId],
-        registry: Option<&Arc<MetricsRegistry>>,
-        recorder: &dyn Recorder,
-        run_span: &exl_obs::Span,
+        run_span: &Span,
         cache: &mut Option<RunCache>,
         obs: &mut RunObservation,
     ) -> Result<RunReport, EngineError> {
-        let cache_io_start = cache.as_ref().map(|c| c.stats()).unwrap_or_default();
+        let plan = self.plan_run(changed, recorder, run_span)?;
+        if plan.translated.is_empty() {
+            return Ok(RunReport::default());
+        }
+        obs.stages = plan.stages.len();
+        let mut run = RunState::new(self, recorder, &plan, cache, obs);
+        for (stage_no, stage) in plan.stages.iter().enumerate() {
+            // a run-level cancel (SIGINT, external token) between stages
+            // aborts before any more work is dispatched — fatal under
+            // every policy, so the staged results roll back. Budget
+            // verdicts are deliberately not checked here: they surface
+            // per subgraph, where keep_going can degrade around them.
+            run.check_cancelled()?;
+            let stage_span = run_span.child("stage");
+            stage_span.set_attr("index", stage_no as u64);
+            stage_span.set_attr("subgraphs", stage.len() as u64);
+            // each subgraph's inputs are satisfied by earlier stages
+            let (jobs, mut outcomes) = run.admit(stage, &stage_span)?;
+            outcomes.extend(run.dispatch(jobs)?);
+            run.stage_outcomes(outcomes)?;
+        }
+        let (report, items) = run.close()?;
+        self.catalog.commit_versions(items)?;
+        Ok(report)
+    }
+
+    /// The plan phase: determine and translate (offline), translate the
+    /// native variants the runtime fallback chain needs, and order the
+    /// subgraphs into dispatch stages.
+    fn plan_run(
+        &self,
+        changed: &[CubeId],
+        recorder: &dyn Recorder,
+        run_span: &Span,
+    ) -> Result<RunPlan, EngineError> {
         let translated = {
             let _span = exl_obs::span(recorder, "engine.plan_and_translate");
             let plan_span = run_span.child("plan");
@@ -752,7 +773,7 @@ impl ExlEngine {
             translated
         };
         if translated.is_empty() {
-            return Ok(RunReport::default());
+            return Ok(RunPlan::default());
         }
         recorder.incr_counter("engine.subgraphs", translated.len() as u64);
         recorder.incr_counter(
@@ -779,478 +800,11 @@ impl ExlEngine {
         let subgraphs: Vec<Subgraph> = translated.iter().map(|(s, _, _)| s.clone()).collect();
         let stages = self.graph.stages(&subgraphs);
         recorder.incr_counter("engine.stages", stages.len() as u64);
-        obs.stages = stages.len();
-
-        let mut report = RunReport {
-            stages: stages.len(),
-            ..RunReport::default()
-        };
-        // keep per-subgraph reports in dispatch order
-        let mut sub_reports: Vec<Option<SubgraphReport>> = vec![None; translated.len()];
-        // the run's transaction: results live here, not in the catalog,
-        // until the end-of-run atomic commit
-        let mut staged: BTreeMap<CubeId, CubeData> = BTreeMap::new();
-        let mut commit_order: Vec<CubeId> = Vec::new();
-        // cubes produced by failed or skipped subgraphs: anything reading
-        // them is skipped in turn (keep_going degradation)
-        let mut poisoned: BTreeSet<CubeId> = BTreeSet::new();
-        let policy = self.policy.clone();
-        let exec = self.exec;
-        let total_subgraphs = translated.len();
-        let mut done_subgraphs = 0usize;
-
-        for (stage_no, stage) in stages.iter().enumerate() {
-            // a run-level cancel (SIGINT, external token) between stages
-            // aborts before any more work is dispatched — fatal under
-            // every policy, so the staged results roll back. Budget
-            // verdicts are deliberately not checked here: they surface
-            // per subgraph, where keep_going can degrade around them.
-            if let Some(g) = crate::govern::governor() {
-                if let Some(err) = g.token().cancellation() {
-                    recorder.incr_counter("engine.rollbacks", 1);
-                    return Err(err.into());
-                }
-            }
-            let stage_span = run_span.child("stage");
-            stage_span.set_attr("index", stage_no as u64);
-            stage_span.set_attr("subgraphs", stage.len() as u64);
-            // each subgraph's inputs are satisfied by earlier stages
-            // (subgraph index, outcome, attempts, wall nanos)
-            type JobResult = (
-                usize,
-                Result<exl_model::Dataset, EngineError>,
-                Vec<Attempt>,
-                u64,
-            );
-            let mut results: Vec<JobResult> = Vec::with_capacity(stage.len());
-            let mut jobs: Vec<(usize, exl_model::Dataset, Vec<CubeId>, exl_obs::Span)> = Vec::new();
-            for &si in stage {
-                let (sub, code, fallback) = &translated[si];
-                let wanted = self.targets_of(sub);
-                let span = stage_span.child("subgraph");
-                span.set_attr("cubes", join_ids(&wanted));
-                span.set_attr("target", code.target_name());
-                span.set_attr("fallback", *fallback);
-                let input_ids = self.input_ids_of(sub)?;
-                if input_ids.iter().any(|id| poisoned.contains(id)) {
-                    span.set_attr("status", "skipped");
-                    recorder.incr_counter("engine.subgraphs_skipped", 1);
-                    poisoned.extend(wanted.iter().cloned());
-                    report.skipped.extend(wanted.iter().cloned());
-                    let r = self.make_report(
-                        si,
-                        &translated,
-                        SubgraphStatus::Skipped,
-                        Vec::new(),
-                        None,
-                        StmtCacheCounts::default(),
-                        0,
-                        0,
-                    );
-                    obs.subgraphs.push(r.clone());
-                    sub_reports[si] = Some(r);
-                    self.emit_progress(
-                        &mut done_subgraphs,
-                        total_subgraphs,
-                        si,
-                        &translated,
-                        SubgraphStatus::Skipped,
-                    );
-                    continue;
-                }
-                match self.prepare_inputs_staged(sub, &staged) {
-                    Ok(prepared) => {
-                        span.set_attr("rows_in", dataset_rows(&prepared));
-                        // consult the run cache: if every statement of the
-                        // subgraph resolves (exact content hit or delta
-                        // patch), stage the cached outputs and never spawn
-                        if let Some(c) = cache.as_mut() {
-                            let effective = effective_target(sub, *fallback);
-                            let stmts = self.statements_of(sub);
-                            let resolve_started = std::time::Instant::now();
-                            if let Some((outputs, counts)) =
-                                c.resolve_statements(&stmts, effective, &prepared, &|id| {
-                                    self.catalog.schema(id).cloned()
-                                })
-                            {
-                                let wall_nanos =
-                                    u64::try_from(resolve_started.elapsed().as_nanos())
-                                        .unwrap_or(u64::MAX);
-                                let rows_out: u64 =
-                                    outputs.iter().map(|(_, d)| d.len() as u64).sum();
-                                // a subgraph with inline-evaluated dirty
-                                // statements still computed something: only
-                                // a fully cache-served one reports Cached
-                                let status = if counts.misses == 0 {
-                                    SubgraphStatus::Cached
-                                } else {
-                                    SubgraphStatus::Computed
-                                };
-                                span.set_attr("cache_hit", counts.misses == 0);
-                                span.set_attr(
-                                    "status",
-                                    if counts.misses == 0 {
-                                        "cached"
-                                    } else {
-                                        "computed"
-                                    },
-                                );
-                                recorder.incr_counter("engine.subgraphs_cached", 1);
-                                recorder.incr_counter("cache.hits", counts.hits);
-                                recorder.incr_counter("cache.delta_hits", counts.delta_hits);
-                                recorder.incr_counter("cache.misses", counts.misses);
-                                if exl_obs::flight::is_armed() {
-                                    let site = join_ids(&wanted);
-                                    for (kind, n) in [
-                                        (exl_obs::flight::FlightKind::CacheHit, counts.hits),
-                                        (
-                                            exl_obs::flight::FlightKind::CacheDelta,
-                                            counts.delta_hits,
-                                        ),
-                                        (exl_obs::flight::FlightKind::CacheMiss, counts.misses),
-                                    ] {
-                                        if n > 0 {
-                                            exl_obs::flight::record(
-                                                kind,
-                                                &site,
-                                                format!("{n} statement(s)"),
-                                            );
-                                        }
-                                    }
-                                }
-                                report.cache.hits += counts.hits;
-                                report.cache.delta_hits += counts.delta_hits;
-                                report.cache.misses += counts.misses;
-                                for (id, data) in outputs {
-                                    staged.insert(id.clone(), data);
-                                    commit_order.push(id.clone());
-                                    report.computed.push(id);
-                                }
-                                let r = self.make_report(
-                                    si,
-                                    &translated,
-                                    status,
-                                    Vec::new(),
-                                    None,
-                                    counts,
-                                    wall_nanos,
-                                    rows_out,
-                                );
-                                obs.subgraphs.push(r.clone());
-                                sub_reports[si] = Some(r);
-                                self.emit_progress(
-                                    &mut done_subgraphs,
-                                    total_subgraphs,
-                                    si,
-                                    &translated,
-                                    status,
-                                );
-                                continue;
-                            }
-                        }
-                        jobs.push((si, prepared, wanted, span));
-                    }
-                    // a missing input is a deterministic failure of this
-                    // subgraph, not of the whole run
-                    Err(e) => {
-                        span.set_attr("status", "failed");
-                        span.add_event(e.to_string());
-                        results.push((si, Err(e), Vec::new(), 0));
-                    }
-                }
-            }
-            if self.parallel_dispatch && jobs.len() > 1 {
-                // dispatch workers can't see this thread's ambient
-                // governor: hand each one a per-subgraph child of it
-                let ambient = crate::govern::governor();
-                let ambient = &ambient;
-                let outputs = std::thread::scope(|scope| {
-                    let handles: Vec<_> = jobs
-                        .into_iter()
-                        .map(|(si, input, wanted, span)| {
-                            let (_, code, _) = &translated[si];
-                            let native = natives[si].as_ref();
-                            let policy = &policy;
-                            scope.spawn(move || {
-                                let _governor = ambient
-                                    .as_ref()
-                                    .map(|g| crate::govern::set_governor(g.child()));
-                                let job_started = std::time::Instant::now();
-                                let (r, attempts) = run_supervised(
-                                    code, native, &input, &wanted, policy, registry, &span, exec,
-                                );
-                                let wall = u64::try_from(job_started.elapsed().as_nanos())
-                                    .unwrap_or(u64::MAX);
-                                finish_subgraph_span(&span, &r, &attempts, &wanted);
-                                (si, r, attempts, wall)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| {
-                            h.join().unwrap_or_else(|payload| {
-                                // the supervisor catches backend panics;
-                                // this guards the dispatcher itself
-                                let message = crate::supervise::panic_message(payload);
-                                (
-                                    usize::MAX,
-                                    Err(EngineError::Panic {
-                                        target: "dispatcher".to_string(),
-                                        message,
-                                    }),
-                                    Vec::new(),
-                                    0,
-                                )
-                            })
-                        })
-                        .collect::<Vec<_>>()
-                });
-                results.extend(outputs);
-            } else {
-                for (si, input, wanted, span) in jobs {
-                    let (_, code, _) = &translated[si];
-                    // a per-subgraph child governor scopes injected
-                    // cancels and subgraph deadlines to this subgraph
-                    let _governor =
-                        crate::govern::governor().map(|g| crate::govern::set_governor(g.child()));
-                    let job_started = std::time::Instant::now();
-                    let (r, attempts) = run_supervised(
-                        code,
-                        natives[si].as_ref(),
-                        &input,
-                        &wanted,
-                        &policy,
-                        registry,
-                        &span,
-                        exec,
-                    );
-                    let wall = u64::try_from(job_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    finish_subgraph_span(&span, &r, &attempts, &wanted);
-                    results.push((si, r, attempts, wall));
-                }
-            }
-            // stage the results (dispatch order) — nothing touches the
-            // catalog yet
-            results.sort_by_key(|(si, _, _, _)| *si);
-            for (si, outcome, attempts, wall_nanos) in results {
-                if si == usize::MAX {
-                    // dispatcher-side panic: not attributable to a
-                    // subgraph, always fatal
-                    recorder.incr_counter("engine.rollbacks", 1);
-                    return outcome.map(|_| RunReport::default());
-                }
-                let (sub, _, _) = &translated[si];
-                let wanted = self.targets_of(sub);
-                let staging = outcome.and_then(|ds| {
-                    let mut out = Vec::with_capacity(wanted.len());
-                    for id in &wanted {
-                        let data = ds.data(id).ok_or_else(|| {
-                            EngineError::Execution(format!("target produced no data for {id}"))
-                        })?;
-                        out.push((id.clone(), data.clone()));
-                    }
-                    Ok(out)
-                });
-                match staging {
-                    Ok(items) => {
-                        let mut counts = StmtCacheCounts::default();
-                        if let Some(c) = cache.as_mut() {
-                            let (sub, _, fallback) = &translated[si];
-                            let effective = effective_target(sub, *fallback);
-                            counts.misses = items.len() as u64;
-                            report.cache.misses += counts.misses;
-                            recorder.incr_counter("cache.misses", counts.misses);
-                            exl_obs::flight::record_with(
-                                exl_obs::flight::FlightKind::CacheMiss,
-                                &join_ids(&wanted),
-                                || format!("{} statement(s) executed in full", counts.misses),
-                            );
-                            // record the results for future runs — but only
-                            // when the effective target actually produced
-                            // them (a runtime-fallback result under another
-                            // target's key would replay the wrong engine)
-                            let executed_effective = attempts
-                                .last()
-                                .map(|a| a.target == effective)
-                                .unwrap_or(false);
-                            if executed_effective {
-                                // same-stage subgraphs never feed each other,
-                                // so re-preparing against the current staging
-                                // area reproduces this subgraph's inputs
-                                if let Ok(prepared) = self.prepare_inputs_staged(sub, &staged) {
-                                    let stmts = self.statements_of(sub);
-                                    c.store_statements(
-                                        &stmts,
-                                        effective,
-                                        &prepared,
-                                        &items,
-                                        &|id| self.catalog.schema(id).cloned(),
-                                    );
-                                }
-                            }
-                        }
-                        let rows_out: u64 = items.iter().map(|(_, d)| d.len() as u64).sum();
-                        for (id, data) in items {
-                            staged.insert(id.clone(), data);
-                            commit_order.push(id.clone());
-                            report.computed.push(id);
-                        }
-                        let r = self.make_report(
-                            si,
-                            &translated,
-                            SubgraphStatus::Computed,
-                            attempts,
-                            None,
-                            counts,
-                            wall_nanos,
-                            rows_out,
-                        );
-                        obs.subgraphs.push(r.clone());
-                        sub_reports[si] = Some(r);
-                        self.emit_progress(
-                            &mut done_subgraphs,
-                            total_subgraphs,
-                            si,
-                            &translated,
-                            SubgraphStatus::Computed,
-                        );
-                    }
-                    Err(e) => {
-                        // a cancelled *run* token (SIGINT, external
-                        // cancel) aborts even under keep_going: no later
-                        // subgraph could execute anyway, so the staged
-                        // results roll back. A subgraph-local cancel or a
-                        // tripped run budget degrades like any failure —
-                        // the report then shows the typed status.
-                        let run_cancelled =
-                            crate::govern::governor().is_some_and(|g| g.token().is_cancelled());
-                        let status = match &e {
-                            EngineError::Cancelled { .. } => SubgraphStatus::Cancelled,
-                            EngineError::BudgetExceeded { .. } => SubgraphStatus::BudgetExceeded,
-                            _ => SubgraphStatus::Failed,
-                        };
-                        let r = self.make_report(
-                            si,
-                            &translated,
-                            status,
-                            attempts,
-                            Some(e.to_string()),
-                            StmtCacheCounts::default(),
-                            wall_nanos,
-                            0,
-                        );
-                        // the failing subgraph's report reaches the crash
-                        // bundle even when the run aborts right here
-                        obs.subgraphs.push(r.clone());
-                        if !policy.keep_going || (e.is_governance() && run_cancelled) {
-                            recorder.incr_counter("engine.rollbacks", 1);
-                            return Err(e);
-                        }
-                        recorder.incr_counter("engine.subgraphs_failed", 1);
-                        poisoned.extend(wanted.iter().cloned());
-                        report.failed.extend(wanted.iter().cloned());
-                        sub_reports[si] = Some(r);
-                        self.emit_progress(
-                            &mut done_subgraphs,
-                            total_subgraphs,
-                            si,
-                            &translated,
-                            status,
-                        );
-                    }
-                }
-            }
-        }
-        // fold the cache store's I/O activity of this run into the report
-        if let Some(c) = cache.as_ref() {
-            let io = c.stats().since(&cache_io_start);
-            report.cache.stores = io.stores;
-            report.cache.corrupt_entries = io.corrupt_entries;
-            report.cache.write_failures = io.write_failures;
-            recorder.incr_counter("cache.stores", io.stores);
-            recorder.incr_counter("cache.corrupt", io.corrupt_entries);
-            recorder.incr_counter("cache.write_failures", io.write_failures);
-        }
-        // last checkpoint before the point of no return: a run-level
-        // cancel that raced the final stage (a SIGINT during the cache
-        // flush, say) must roll back, not commit
-        if let Some(g) = crate::govern::governor() {
-            if let Some(err) = g.token().cancellation() {
-                recorder.incr_counter("engine.rollbacks", 1);
-                return Err(err.into());
-            }
-        }
-        // the transactional commit: all-or-nothing, in dispatch order
-        let items: Vec<(CubeId, CubeData)> = commit_order
-            .into_iter()
-            .map(|id| {
-                let data = staged.get(&id).cloned().expect("staged all commits");
-                (id, data)
-            })
-            .collect();
-        self.catalog.commit_versions(items)?;
-        report.subgraphs = sub_reports.into_iter().flatten().collect();
-        Ok(report)
-    }
-
-    /// Count a finished subgraph and notify the progress sink, if any.
-    fn emit_progress(
-        &self,
-        done: &mut usize,
-        total: usize,
-        si: usize,
-        translated: &[(Subgraph, TargetCode, bool)],
-        status: SubgraphStatus,
-    ) {
-        *done += 1;
-        if let Some(sink) = &self.progress {
-            let (sub, _, fallback) = &translated[si];
-            sink.emit(&ProgressEvent {
-                done: *done,
-                total,
-                cubes: self.targets_of(sub),
-                target: effective_target(sub, *fallback),
-                status,
-            });
-        }
-    }
-
-    /// Build one subgraph's report entry. Called exactly once per
-    /// subgraph outcome, so it doubles as the flight recorder's
-    /// subgraph-completion hook.
-    #[allow(clippy::too_many_arguments)]
-    fn make_report(
-        &self,
-        si: usize,
-        translated: &[(Subgraph, TargetCode, bool)],
-        status: SubgraphStatus,
-        attempts: Vec<Attempt>,
-        error: Option<String>,
-        cache: StmtCacheCounts,
-        wall_nanos: u64,
-        rows_out: u64,
-    ) -> SubgraphReport {
-        let (sub, _, fallback) = &translated[si];
-        let target = effective_target(sub, *fallback);
-        let cubes = self.targets_of(sub);
-        exl_obs::flight::record_with(exl_obs::flight::FlightKind::Subgraph, target.name(), || {
-            match &error {
-                Some(e) => format!("{}: {} ({e})", join_ids(&cubes), status.name()),
-                None => format!("{}: {}", join_ids(&cubes), status.name()),
-            }
-        });
-        SubgraphReport {
-            target,
-            fallback: *fallback,
-            cubes,
-            status,
-            attempts,
-            error,
-            cache,
-            wall_nanos,
-            rows_out,
-        }
+        Ok(RunPlan {
+            translated,
+            natives,
+            stages,
+        })
     }
 
     /// The statements of a subgraph, in execution order.
@@ -1264,11 +818,7 @@ impl ExlEngine {
     /// Translate a subgraph for the native engine (the runtime fallback
     /// chain's last resort).
     fn native_code_for(&self, sub: &Subgraph) -> Result<TargetCode, EngineError> {
-        let statements: Vec<_> = sub
-            .statements
-            .iter()
-            .map(|&i| self.graph.statements()[i].clone())
-            .collect();
+        let statements = self.statements_of(sub);
         let inputs = input_schemas(&statements, &|id| self.catalog.schema(id).cloned())?;
         let analyzed = subprogram(&statements, &inputs)?;
         translate(&analyzed, TargetKind::Native)
@@ -1316,11 +866,7 @@ impl ExlEngine {
 
     /// Ids of the external cubes a subgraph reads.
     fn input_ids_of(&self, sub: &Subgraph) -> Result<Vec<CubeId>, EngineError> {
-        let statements: Vec<_> = sub
-            .statements
-            .iter()
-            .map(|&i| self.graph.statements()[i].clone())
-            .collect();
+        let statements = self.statements_of(sub);
         let schemas = input_schemas(&statements, &|id| self.catalog.schema(id).cloned())?;
         Ok(schemas.into_iter().map(|s| s.id).collect())
     }
@@ -1335,11 +881,7 @@ impl ExlEngine {
         sub: &Subgraph,
         staged: &BTreeMap<CubeId, CubeData>,
     ) -> Result<exl_model::Dataset, EngineError> {
-        let statements: Vec<_> = sub
-            .statements
-            .iter()
-            .map(|&i| self.graph.statements()[i].clone())
-            .collect();
+        let statements = self.statements_of(sub);
         let schemas = input_schemas(&statements, &|id| self.catalog.schema(id).cloned())?;
         // the executors treat subgraph inputs as base data
         let mut fixed = exl_model::Dataset::new();
@@ -1352,5 +894,494 @@ impl ExlEngine {
             fixed.put(exl_model::Cube::new(schema, data));
         }
         Ok(fixed)
+    }
+}
+
+/// The offline half of one run, fixed before any data moves: each
+/// subgraph with its translated code and translation-time fallback flag,
+/// the native variant the runtime fallback chain re-runs it on, and the
+/// dispatch stages (subgraph indices).
+#[derive(Default)]
+struct RunPlan {
+    translated: Vec<(Subgraph, TargetCode, bool)>,
+    natives: Vec<Option<TargetCode>>,
+    stages: Vec<Vec<usize>>,
+}
+
+/// A subgraph admitted for execution: inputs prepared, not served by the
+/// run cache.
+struct Job {
+    si: usize,
+    input: exl_model::Dataset,
+    wanted: Vec<CubeId>,
+    span: Span,
+}
+
+/// How one subgraph's execution ended.
+struct JobOutcome {
+    si: usize,
+    result: Result<exl_model::Dataset, EngineError>,
+    attempts: Vec<Attempt>,
+    wall_nanos: u64,
+}
+
+/// Nanoseconds since `started`, saturating.
+fn elapsed_nanos(started: std::time::Instant) -> u64 {
+    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The state of one run between plan and commit: the report under
+/// construction, the run's transaction (results are staged here, not in
+/// the catalog, until the end-of-run atomic commit, in the order of
+/// `report.computed`), and the cubes poisoned by failed or skipped
+/// subgraphs — anything reading them is skipped in turn (keep_going
+/// degradation).
+struct RunState<'a> {
+    engine: &'a ExlEngine,
+    recorder: &'a dyn Recorder,
+    plan: &'a RunPlan,
+    cache: &'a mut Option<RunCache>,
+    /// The cache store's I/O counters when the run started.
+    cache_io_start: CacheStats,
+    obs: &'a mut RunObservation,
+    report: RunReport,
+    /// Per-subgraph reports, kept in dispatch order.
+    sub_reports: Vec<Option<SubgraphReport>>,
+    staged: BTreeMap<CubeId, CubeData>,
+    poisoned: BTreeSet<CubeId>,
+    /// Subgraphs finished so far, for the progress sink.
+    done: usize,
+}
+
+impl<'a> RunState<'a> {
+    fn new(
+        engine: &'a ExlEngine,
+        recorder: &'a dyn Recorder,
+        plan: &'a RunPlan,
+        cache: &'a mut Option<RunCache>,
+        obs: &'a mut RunObservation,
+    ) -> RunState<'a> {
+        RunState {
+            engine,
+            recorder,
+            plan,
+            cache_io_start: cache.as_ref().map(|c| c.stats()).unwrap_or_default(),
+            cache,
+            obs,
+            report: RunReport {
+                stages: plan.stages.len(),
+                ..RunReport::default()
+            },
+            sub_reports: vec![None; plan.translated.len()],
+            staged: BTreeMap::new(),
+            poisoned: BTreeSet::new(),
+            done: 0,
+        }
+    }
+
+    /// Abort when the run's token was cancelled: the staged results roll
+    /// back.
+    fn check_cancelled(&self) -> Result<(), EngineError> {
+        if let Some(err) = crate::govern::governor().and_then(|g| g.token().cancellation()) {
+            self.recorder.incr_counter("engine.rollbacks", 1);
+            return Err(err.into());
+        }
+        Ok(())
+    }
+
+    /// The admit phase of one stage: skip subgraphs that read poisoned
+    /// cubes, prepare inputs, and serve what the run cache resolves.
+    /// Returns the jobs left to dispatch, plus the failed outcomes of
+    /// subgraphs whose inputs could not be prepared.
+    fn admit(
+        &mut self,
+        stage: &[usize],
+        stage_span: &Span,
+    ) -> Result<(Vec<Job>, Vec<JobOutcome>), EngineError> {
+        let (engine, plan) = (self.engine, self.plan);
+        let mut jobs = Vec::new();
+        let mut failed = Vec::new();
+        for &si in stage {
+            let (sub, code, fallback) = &plan.translated[si];
+            let wanted = engine.targets_of(sub);
+            let span = stage_span.child("subgraph");
+            span.set_attr("cubes", join_ids(&wanted));
+            span.set_attr("target", code.target_name());
+            span.set_attr("fallback", *fallback);
+            let input_ids = engine.input_ids_of(sub)?;
+            if input_ids.iter().any(|id| self.poisoned.contains(id)) {
+                span.set_attr("status", "skipped");
+                self.recorder.incr_counter("engine.subgraphs_skipped", 1);
+                self.poisoned.extend(wanted.iter().cloned());
+                self.report.skipped.extend(wanted);
+                self.settle(si, self.blank_report(si, SubgraphStatus::Skipped));
+                continue;
+            }
+            match engine.prepare_inputs_staged(sub, &self.staged) {
+                Ok(input) => {
+                    span.set_attr("rows_in", dataset_rows(&input));
+                    if !self.serve_cached(si, &wanted, &input, &span) {
+                        jobs.push(Job {
+                            si,
+                            input,
+                            wanted,
+                            span,
+                        });
+                    }
+                }
+                // a missing input is a deterministic failure of this
+                // subgraph, not of the whole run
+                Err(e) => {
+                    span.set_attr("status", "failed");
+                    span.add_event(e.to_string());
+                    failed.push(JobOutcome {
+                        si,
+                        result: Err(e),
+                        attempts: Vec::new(),
+                        wall_nanos: 0,
+                    });
+                }
+            }
+        }
+        Ok((jobs, failed))
+    }
+
+    /// Consult the run cache: when every statement of the subgraph
+    /// resolves (exact content hit or delta patch), stage the cached
+    /// outputs and report the subgraph settled, so it is never
+    /// dispatched.
+    fn serve_cached(
+        &mut self,
+        si: usize,
+        wanted: &[CubeId],
+        input: &exl_model::Dataset,
+        span: &Span,
+    ) -> bool {
+        let Some(c) = self.cache.as_mut() else {
+            return false;
+        };
+        let engine = self.engine;
+        let (sub, _, fallback) = &self.plan.translated[si];
+        let started = std::time::Instant::now();
+        let Some((outputs, counts)) = c.resolve_statements(
+            &engine.statements_of(sub),
+            effective_target(sub, *fallback),
+            input,
+            &|id| engine.catalog.schema(id).cloned(),
+        ) else {
+            return false;
+        };
+        let wall_nanos = elapsed_nanos(started);
+        let rows_out: u64 = outputs.iter().map(|(_, d)| d.len() as u64).sum();
+        // a subgraph with inline-evaluated dirty statements still
+        // computed something: only a fully cache-served one reports Cached
+        let status = if counts.misses == 0 {
+            SubgraphStatus::Cached
+        } else {
+            SubgraphStatus::Computed
+        };
+        span.set_attr("cache_hit", counts.misses == 0);
+        span.set_attr("status", status.name());
+        let recorder = self.recorder;
+        recorder.incr_counter("engine.subgraphs_cached", 1);
+        recorder.incr_counter("cache.hits", counts.hits);
+        recorder.incr_counter("cache.delta_hits", counts.delta_hits);
+        recorder.incr_counter("cache.misses", counts.misses);
+        if exl_obs::flight::is_armed() {
+            let site = join_ids(wanted);
+            for (kind, n) in [
+                (exl_obs::flight::FlightKind::CacheHit, counts.hits),
+                (exl_obs::flight::FlightKind::CacheDelta, counts.delta_hits),
+                (exl_obs::flight::FlightKind::CacheMiss, counts.misses),
+            ] {
+                if n > 0 {
+                    exl_obs::flight::record(kind, &site, format!("{n} statement(s)"));
+                }
+            }
+        }
+        self.report.cache.hits += counts.hits;
+        self.report.cache.delta_hits += counts.delta_hits;
+        self.report.cache.misses += counts.misses;
+        self.stage(outputs);
+        let r = SubgraphReport {
+            cache: counts,
+            wall_nanos,
+            rows_out,
+            ..self.blank_report(si, status)
+        };
+        self.settle(si, r);
+        true
+    }
+
+    /// The dispatch phase: execute admitted jobs under the supervisor, on
+    /// this thread one after another, or — with parallel dispatch — on
+    /// one scoped thread each. Every job runs under a per-subgraph child
+    /// of the run governor, which scopes injected cancels and subgraph
+    /// deadlines to that subgraph.
+    fn dispatch(&self, jobs: Vec<Job>) -> Result<Vec<JobOutcome>, EngineError> {
+        let (plan, recorder) = (self.plan, self.recorder);
+        let (policy, exec) = (&self.engine.policy, self.engine.exec);
+        // dispatch workers can't see this thread's ambient governor:
+        // capture it for them
+        let ambient = crate::govern::governor();
+        let run_job = |job: Job| {
+            let _governor = ambient
+                .as_ref()
+                .map(|g| crate::govern::set_governor(g.child()));
+            let started = std::time::Instant::now();
+            let (result, attempts) = run_supervised(
+                &plan.translated[job.si].1,
+                plan.natives[job.si].as_ref(),
+                &job.input,
+                &job.wanted,
+                policy,
+                recorder,
+                &job.span,
+                exec,
+            );
+            let wall_nanos = elapsed_nanos(started);
+            finish_subgraph_span(&job.span, &result, &attempts, &job.wanted);
+            JobOutcome {
+                si: job.si,
+                result,
+                attempts,
+                wall_nanos,
+            }
+        };
+        if !self.engine.parallel_dispatch || jobs.len() < 2 {
+            return Ok(jobs.into_iter().map(run_job).collect());
+        }
+        let run_job = &run_job;
+        let joined: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = jobs
+                .into_iter()
+                .map(|job| scope.spawn(move || run_job(job)))
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
+        });
+        // the supervisor catches backend panics; this guards the
+        // dispatcher itself, which is always fatal
+        joined
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .map_err(|payload| {
+                recorder.incr_counter("engine.rollbacks", 1);
+                EngineError::Panic {
+                    target: "dispatcher".to_string(),
+                    message: panic_message(payload),
+                }
+            })
+    }
+
+    /// Stage a stage's outcomes in dispatch order — nothing touches the
+    /// catalog yet. A failure aborts the run unless keep_going degrades
+    /// around it.
+    fn stage_outcomes(&mut self, mut outcomes: Vec<JobOutcome>) -> Result<(), EngineError> {
+        outcomes.sort_by_key(|o| o.si);
+        for o in outcomes {
+            let wanted = self.engine.targets_of(&self.plan.translated[o.si].0);
+            let staging = o.result.and_then(|ds| {
+                wanted
+                    .iter()
+                    .map(|id| {
+                        let data = ds.data(id).ok_or_else(|| {
+                            EngineError::Execution(format!("target produced no data for {id}"))
+                        })?;
+                        Ok((id.clone(), data.clone()))
+                    })
+                    .collect::<Result<Vec<_>, EngineError>>()
+            });
+            let items = match staging {
+                Ok(items) => items,
+                Err(e) => {
+                    self.fail(o.si, e, o.attempts, o.wall_nanos)?;
+                    continue;
+                }
+            };
+            let counts = self.store_cached(o.si, &wanted, &items, &o.attempts);
+            let rows_out: u64 = items.iter().map(|(_, d)| d.len() as u64).sum();
+            self.stage(items);
+            let r = SubgraphReport {
+                attempts: o.attempts,
+                cache: counts,
+                wall_nanos: o.wall_nanos,
+                rows_out,
+                ..self.blank_report(o.si, SubgraphStatus::Computed)
+            };
+            self.settle(o.si, r);
+        }
+        Ok(())
+    }
+
+    /// Count an executed subgraph's statements as cache misses and
+    /// record its results for future runs.
+    fn store_cached(
+        &mut self,
+        si: usize,
+        wanted: &[CubeId],
+        items: &[(CubeId, CubeData)],
+        attempts: &[Attempt],
+    ) -> StmtCacheCounts {
+        let mut counts = StmtCacheCounts::default();
+        let Some(c) = self.cache.as_mut() else {
+            return counts;
+        };
+        let engine = self.engine;
+        let (sub, _, fallback) = &self.plan.translated[si];
+        let effective = effective_target(sub, *fallback);
+        counts.misses = items.len() as u64;
+        self.report.cache.misses += counts.misses;
+        self.recorder.incr_counter("cache.misses", counts.misses);
+        exl_obs::flight::record_with(
+            exl_obs::flight::FlightKind::CacheMiss,
+            &join_ids(wanted),
+            || format!("{} statement(s) executed in full", counts.misses),
+        );
+        // only when the effective target actually produced the results (a
+        // runtime-fallback result under another target's key would
+        // replay the wrong engine)
+        if attempts.last().is_some_and(|a| a.target == effective) {
+            // same-stage subgraphs never feed each other, so re-preparing
+            // against the current staging area reproduces this
+            // subgraph's inputs
+            if let Ok(prepared) = engine.prepare_inputs_staged(sub, &self.staged) {
+                c.store_statements(
+                    &engine.statements_of(sub),
+                    effective,
+                    &prepared,
+                    items,
+                    &|id| engine.catalog.schema(id).cloned(),
+                );
+            }
+        }
+        counts
+    }
+
+    /// Settle a failed subgraph: abort the run, or under keep_going
+    /// poison its cubes and carry on.
+    fn fail(
+        &mut self,
+        si: usize,
+        e: EngineError,
+        attempts: Vec<Attempt>,
+        wall_nanos: u64,
+    ) -> Result<(), EngineError> {
+        // a cancelled *run* token (SIGINT, external cancel) aborts even
+        // under keep_going: no later subgraph could execute anyway, so
+        // the staged results roll back. A subgraph-local cancel or a
+        // tripped run budget degrades like any failure — the report then
+        // shows the typed status.
+        let run_cancelled = crate::govern::governor().is_some_and(|g| g.token().is_cancelled());
+        let status = match &e {
+            EngineError::Cancelled { .. } => SubgraphStatus::Cancelled,
+            EngineError::BudgetExceeded { .. } => SubgraphStatus::BudgetExceeded,
+            _ => SubgraphStatus::Failed,
+        };
+        let r = SubgraphReport {
+            attempts,
+            error: Some(e.to_string()),
+            wall_nanos,
+            ..self.blank_report(si, status)
+        };
+        if !self.engine.policy.keep_going || (e.is_governance() && run_cancelled) {
+            // the failing subgraph's report reaches the crash bundle even
+            // when the run aborts right here
+            self.observe(&r);
+            self.recorder.incr_counter("engine.rollbacks", 1);
+            return Err(e);
+        }
+        self.recorder.incr_counter("engine.subgraphs_failed", 1);
+        self.poisoned.extend(r.cubes.iter().cloned());
+        self.report.failed.extend(r.cubes.iter().cloned());
+        self.settle(si, r);
+        Ok(())
+    }
+
+    /// Put results into the run's staging area, in commit order.
+    fn stage(&mut self, items: Vec<(CubeId, CubeData)>) {
+        for (id, data) in items {
+            self.staged.insert(id.clone(), data);
+            self.report.computed.push(id);
+        }
+    }
+
+    /// A subgraph's report with `status` and no work recorded.
+    fn blank_report(&self, si: usize, status: SubgraphStatus) -> SubgraphReport {
+        let (sub, _, fallback) = &self.plan.translated[si];
+        SubgraphReport {
+            target: effective_target(sub, *fallback),
+            fallback: *fallback,
+            cubes: self.engine.targets_of(sub),
+            status,
+            attempts: Vec::new(),
+            error: None,
+            cache: StmtCacheCounts::default(),
+            wall_nanos: 0,
+            rows_out: 0,
+        }
+    }
+
+    /// Hand a finished subgraph's report to the flight recorder and to
+    /// the observation that crash bundles and ledger records are built
+    /// from.
+    fn observe(&mut self, r: &SubgraphReport) {
+        exl_obs::flight::record_with(
+            exl_obs::flight::FlightKind::Subgraph,
+            r.target.name(),
+            || match &r.error {
+                Some(e) => format!("{}: {} ({e})", join_ids(&r.cubes), r.status.name()),
+                None => format!("{}: {}", join_ids(&r.cubes), r.status.name()),
+            },
+        );
+        self.obs.subgraphs.push(r.clone());
+    }
+
+    /// Settle a subgraph's outcome: observe it, notify the progress
+    /// sink, and keep its report in dispatch order. Called exactly once
+    /// per subgraph of a run that does not abort.
+    fn settle(&mut self, si: usize, r: SubgraphReport) {
+        self.observe(&r);
+        self.done += 1;
+        if let Some(sink) = &self.engine.progress {
+            sink.emit(&ProgressEvent {
+                done: self.done,
+                total: self.plan.translated.len(),
+                cubes: r.cubes.clone(),
+                target: r.target,
+                status: r.status,
+            });
+        }
+        self.sub_reports[si] = Some(r);
+    }
+
+    /// Close the run: fold the cache store's I/O activity into the
+    /// report, take the last checkpoint before the point of no return,
+    /// and hand back the report with the staged results in commit order.
+    fn close(mut self) -> Result<(RunReport, Vec<(CubeId, CubeData)>), EngineError> {
+        if let Some(c) = self.cache.as_ref() {
+            let io = c.stats().since(&self.cache_io_start);
+            self.report.cache.stores = io.stores;
+            self.report.cache.corrupt_entries = io.corrupt_entries;
+            self.report.cache.write_failures = io.write_failures;
+            self.recorder.incr_counter("cache.stores", io.stores);
+            self.recorder
+                .incr_counter("cache.corrupt", io.corrupt_entries);
+            self.recorder
+                .incr_counter("cache.write_failures", io.write_failures);
+        }
+        // a run-level cancel that raced the final stage (a SIGINT during
+        // the cache flush, say) must roll back, not commit
+        self.check_cancelled()?;
+        let mut report = self.report;
+        report.subgraphs = self.sub_reports.into_iter().flatten().collect();
+        let items = report
+            .computed
+            .iter()
+            .map(|id| {
+                let data = self.staged.get(id).cloned().expect("staged all commits");
+                (id.clone(), data)
+            })
+            .collect();
+        Ok((report, items))
     }
 }

@@ -58,15 +58,8 @@ pub use error::EngineError;
 pub use govern::{CancelToken, GovernConfig, GovernError, Governor, RunBudget};
 pub use ledger::{Baseline, LedgerRecord, LedgerStatement, SentinelConfig, LEDGER_VERSION};
 pub use lineage::{LineageReport, LineageStep};
-pub use supervise::{
-    run_on_target_supervised, run_supervised, Attempt, AttemptOutcome, DispatchPolicy,
-    SubgraphStatus,
-};
-pub use target::{
-    execute, execute_in_context, execute_in_context_opts, execute_recorded, execute_traced,
-    run_on_target, run_on_target_opts, run_on_target_recorded, translate, ExecOpts, TargetCode,
-    TargetKind,
-};
+pub use supervise::{run_supervised, Attempt, AttemptOutcome, DispatchPolicy, SubgraphStatus};
+pub use target::{execute, run_on_target, translate, ExecOpts, TargetCode, TargetKind};
 
 #[cfg(test)]
 mod tests {

@@ -25,18 +25,15 @@
 //! [`SubgraphReport::attempts`](crate::engine::SubgraphReport).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::time::Duration;
 
 use exl_model::schema::CubeId;
 use exl_model::Dataset;
-use exl_obs::{MetricsRegistry, NoopRecorder, Recorder};
+use exl_obs::Recorder;
 
 use crate::error::EngineError;
-use crate::target::{execute_in_context_opts, ExecOpts, TargetCode, TargetKind};
-
-/// Shared no-op recorder for metric-less supervision.
-static NOOP: NoopRecorder = NoopRecorder;
+use crate::target::{execute, ExecOpts, TargetCode, TargetKind};
 
 /// How the dispatcher behaves when a subgraph execution fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -137,8 +134,8 @@ impl SubgraphStatus {
 /// Every execution attempt (retries and runtime-fallback attempts
 /// included) becomes an `attempt` child span of `trace`, siblings of each
 /// other, carrying `target`, `attempt` (ordinal) and `status` attributes,
-/// and executes with the given [`ExecOpts`]. Callers without a trace pass
-/// [`exl_obs::Span::disabled`].
+/// and executes with the given [`ExecOpts`]. Callers without metrics or a
+/// trace pass [`exl_obs::NoopRecorder`] and [`exl_obs::Span::disabled`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_supervised(
     code: &TargetCode,
@@ -146,21 +143,17 @@ pub fn run_supervised(
     input: &Dataset,
     wanted: &[CubeId],
     policy: &DispatchPolicy,
-    metrics: Option<&Arc<MetricsRegistry>>,
+    recorder: &dyn Recorder,
     trace: &exl_obs::Span,
     opts: ExecOpts,
 ) -> (Result<Dataset, EngineError>, Vec<Attempt>) {
-    let recorder: &dyn Recorder = match metrics {
-        Some(m) => m.as_ref(),
-        None => &NOOP,
-    };
     let mut attempts = Vec::new();
     let primary = attempt_chain(
         code,
         input,
         wanted,
         policy,
-        metrics,
+        recorder,
         &mut attempts,
         trace,
         opts,
@@ -184,7 +177,7 @@ pub fn run_supervised(
                     input,
                     wanted,
                     policy,
-                    metrics,
+                    recorder,
                     &mut attempts,
                     trace,
                     opts,
@@ -205,15 +198,11 @@ fn attempt_chain(
     input: &Dataset,
     wanted: &[CubeId],
     policy: &DispatchPolicy,
-    metrics: Option<&Arc<MetricsRegistry>>,
+    recorder: &dyn Recorder,
     attempts: &mut Vec<Attempt>,
     trace: &exl_obs::Span,
     opts: ExecOpts,
 ) -> Result<Dataset, EngineError> {
-    let recorder: &dyn Recorder = match metrics {
-        Some(m) => m.as_ref(),
-        None => &NOOP,
-    };
     let target = code.target_kind();
     let mut attempt = 0u32;
     loop {
@@ -225,7 +214,7 @@ fn attempt_chain(
             input,
             wanted,
             policy.subgraph_timeout,
-            metrics,
+            recorder,
             &span,
             opts,
         );
@@ -287,9 +276,9 @@ fn attempt_chain(
 
 /// One execution attempt behind the fault boundary. Without a deadline
 /// the backend runs on the calling thread under `catch_unwind` (and under
-/// whatever governor the caller installed); with one it runs on a worker
-/// thread holding a **child** governor. When the deadline passes the
-/// supervisor cancels the child's token and joins the worker: the
+/// whatever governor the caller installed); with one it runs on a scoped
+/// worker thread holding a **child** governor. When the deadline passes
+/// the supervisor cancels the child's token and joins the worker: the
 /// backend observes the cancellation at its next checkpoint and exits,
 /// so the thread is reclaimed instead of abandoned. The child token
 /// keeps the cancellation local to this attempt — a retry (or the
@@ -300,26 +289,25 @@ fn execute_guarded(
     input: &Dataset,
     wanted: &[CubeId],
     timeout: Option<Duration>,
-    metrics: Option<&Arc<MetricsRegistry>>,
+    recorder: &dyn Recorder,
     trace: &exl_obs::Span,
     opts: ExecOpts,
 ) -> Result<Dataset, EngineError> {
     let target = code.target_name();
-    let Some(deadline) = timeout else {
-        let recorder: &dyn Recorder = match metrics {
-            Some(m) => m.as_ref(),
-            None => &NOOP,
-        };
+    let contained = || {
         let _span = exl_obs::span(recorder, format!("engine.subgraph.{target}"));
-        return catch_unwind(AssertUnwindSafe(|| {
-            execute_in_context_opts(code, input, wanted, recorder, &trace.context(), opts)
+        catch_unwind(AssertUnwindSafe(|| {
+            execute(code, input, wanted, recorder, trace, opts)
         }))
         .unwrap_or_else(|payload| {
             Err(EngineError::Panic {
                 target: target.to_string(),
                 message: panic_message(payload),
             })
-        });
+        })
+    };
+    let Some(deadline) = timeout else {
+        return contained();
     };
 
     // the worker governs under a child of the caller's governor: run-level
@@ -328,113 +316,42 @@ fn execute_guarded(
         .unwrap_or_else(crate::govern::Governor::detached)
         .child();
     let attempt_token = attempt_governor.token().clone();
-
-    let code = code.clone();
-    let input = input.clone();
-    let wanted = wanted.to_vec();
-    let metrics = metrics.cloned();
-    // keep the worker's spans parented under the attempt span even though
-    // it runs on its own thread
-    let ctx = trace.context();
     let (tx, rx) = mpsc::channel();
-    let worker = std::thread::Builder::new()
-        .name(format!("exl-dispatch-{target}"))
-        .spawn(move || {
-            let _governor = crate::govern::set_governor(attempt_governor);
-            let recorder: &dyn Recorder = match &metrics {
-                Some(m) => m.as_ref(),
-                None => &NOOP,
-            };
-            let _span = exl_obs::span(recorder, format!("engine.subgraph.{}", code.target_name()));
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                execute_in_context_opts(&code, &input, &wanted, recorder, &ctx, opts)
-            }))
-            .unwrap_or_else(|payload| {
-                Err(EngineError::Panic {
-                    target: code.target_name().to_string(),
-                    message: panic_message(payload),
-                })
-            });
-            // the receiver may have given up on us: ignore send failure
-            let _ = tx.send(result);
-        })
-        .map_err(|e| EngineError::Execution(format!("cannot spawn dispatch worker: {e}")))?;
-    let result = match rx.recv_timeout(deadline) {
-        Ok(result) => result,
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            attempt_token.cancel(format!(
-                "subgraph deadline of {} ms exceeded",
-                deadline.as_millis()
-            ));
-            Err(EngineError::Timeout {
-                target: target.to_string(),
-                millis: deadline.as_millis() as u64,
+    std::thread::scope(|scope| {
+        let worker = std::thread::Builder::new()
+            .name(format!("exl-dispatch-{target}"))
+            .spawn_scoped(scope, move || {
+                let _governor = crate::govern::set_governor(attempt_governor);
+                // the receiver may have given up on us: ignore send failure
+                let _ = tx.send(contained());
             })
-        }
-        // unreachable in practice: the worker always sends (panics are
-        // caught), but a vanished worker must not hang the dispatcher
-        Err(mpsc::RecvTimeoutError::Disconnected) => Err(EngineError::Panic {
-            target: target.to_string(),
-            message: "dispatch worker vanished without a result".to_string(),
-        }),
-    };
-    // cancel-then-join: after a timeout the worker sees the cancelled
-    // token at its next checkpoint (injected delays are sliced and abort
-    // early) and exits; on the success/error paths it has already sent,
-    // so the join is immediate either way
-    let _ = worker.join();
-    result
-}
-
-/// Run a whole analyzed program on one target under the supervisor —
-/// the supervised counterpart of
-/// [`run_on_target_recorded`](crate::target::run_on_target_recorded),
-/// used by `exlc run` when retry/timeout flags are set. Attempts are
-/// traced under `trace` and execute with `opts`, as in [`run_supervised`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_on_target_supervised(
-    analyzed: &exl_lang::analyze::AnalyzedProgram,
-    input: &Dataset,
-    target: TargetKind,
-    policy: &DispatchPolicy,
-    metrics: Option<&Arc<MetricsRegistry>>,
-    trace: &exl_obs::Span,
-    opts: ExecOpts,
-) -> Result<(Dataset, Vec<Attempt>), EngineError> {
-    let recorder: &dyn Recorder = match metrics {
-        Some(m) => m.as_ref(),
-        None => &NOOP,
-    };
-    let code = {
-        let _span = exl_obs::span(recorder, "engine.translate");
-        crate::target::translate(analyzed, target)?
-    };
-    let native = if policy.runtime_fallback && target != TargetKind::Native {
-        Some(crate::target::translate(analyzed, TargetKind::Native)?)
-    } else {
-        None
-    };
-    let wanted = analyzed.program.derived_ids();
-    let inputs: Vec<CubeId> = analyzed.elementary_inputs();
-    let restricted = input.restrict(&inputs);
-    for id in &inputs {
-        if !restricted.contains(id) {
-            return Err(EngineError::Execution(format!(
-                "elementary cube {id} is missing from the input dataset"
-            )));
-        }
-    }
-    let (result, attempts) = run_supervised(
-        &code,
-        native.as_ref(),
-        &restricted,
-        &wanted,
-        policy,
-        metrics,
-        trace,
-        opts,
-    );
-    result.map(|ds| (ds, attempts))
+            .map_err(|e| EngineError::Execution(format!("cannot spawn dispatch worker: {e}")))?;
+        let result = match rx.recv_timeout(deadline) {
+            Ok(result) => result,
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                attempt_token.cancel(format!(
+                    "subgraph deadline of {} ms exceeded",
+                    deadline.as_millis()
+                ));
+                Err(EngineError::Timeout {
+                    target: target.to_string(),
+                    millis: deadline.as_millis() as u64,
+                })
+            }
+            // unreachable in practice: the worker always sends (panics are
+            // caught), but a vanished worker must not hang the dispatcher
+            Err(mpsc::RecvTimeoutError::Disconnected) => Err(EngineError::Panic {
+                target: target.to_string(),
+                message: "dispatch worker vanished without a result".to_string(),
+            }),
+        };
+        // cancel-then-join: after a timeout the worker sees the cancelled
+        // token at its next checkpoint (injected delays are sliced and
+        // abort early) and exits; on the success/error paths it has
+        // already sent, so the join is immediate either way
+        let _ = worker.join();
+        result
+    })
 }
 
 /// Render a `catch_unwind` payload as text.
@@ -470,7 +387,7 @@ mod tests {
             &input,
             &wanted,
             &DispatchPolicy::default(),
-            None,
+            &exl_obs::NoopRecorder,
             &exl_obs::Span::disabled(),
             ExecOpts::default(),
         );
@@ -499,7 +416,7 @@ mod tests {
             &input,
             &wanted,
             &policy,
-            None,
+            &exl_obs::NoopRecorder,
             &exl_obs::Span::disabled(),
             ExecOpts::default(),
         );
@@ -528,7 +445,7 @@ mod tests {
                 &input,
                 &wanted,
                 &policy,
-                None,
+                &exl_obs::NoopRecorder,
                 &exl_obs::Span::disabled(),
                 ExecOpts::default(),
             );
@@ -555,14 +472,14 @@ mod tests {
             backoff_base: Duration::ZERO,
             ..DispatchPolicy::default()
         };
-        let registry = Arc::new(MetricsRegistry::new());
+        let registry = exl_obs::MetricsRegistry::new();
         let (result, attempts) = run_supervised(
             &code,
             None,
             &input,
             &wanted,
             &policy,
-            Some(&registry),
+            &registry,
             &exl_obs::Span::disabled(),
             ExecOpts::default(),
         );
@@ -587,7 +504,7 @@ mod tests {
             runtime_fallback: true,
             ..DispatchPolicy::default()
         };
-        let registry = Arc::new(MetricsRegistry::new());
+        let registry = exl_obs::MetricsRegistry::new();
         let input = input.restrict(&analyzed.elementary_inputs());
         let (result, attempts) = run_supervised(
             &sql,
@@ -595,7 +512,7 @@ mod tests {
             &input,
             &wanted,
             &policy,
-            Some(&registry),
+            &registry,
             &exl_obs::Span::disabled(),
             ExecOpts::default(),
         );
@@ -619,14 +536,14 @@ mod tests {
             backoff_base: Duration::ZERO,
             ..DispatchPolicy::default()
         };
-        let registry = Arc::new(MetricsRegistry::new());
+        let registry = exl_obs::MetricsRegistry::new();
         let (result, attempts) = run_supervised(
             &code,
             None,
             &input,
             &wanted,
             &policy,
-            Some(&registry),
+            &registry,
             &exl_obs::Span::disabled(),
             ExecOpts::default(),
         );

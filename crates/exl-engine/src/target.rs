@@ -285,70 +285,28 @@ pub struct ExecOpts {
 /// Execute translated code against input data, returning the cubes named
 /// in `wanted` (normally the subgraph's statement targets — rewrite
 /// auxiliaries are filtered out here).
+///
+/// The whole backend call is timed under the flat `target.execute.<name>`
+/// span of `recorder` and runs under an `execute.<target>` child span of
+/// `trace`; each backend records its internal steps as grandchildren
+/// (`chase.tgd`, `sql.stmt`, `rmini.stmt`, `matmini.stmt`, `etl.flow`, …)
+/// and the chase / parallel-ETL / native backends emit their own counters
+/// to `recorder`. Native subgraphs run fused unless `opts.no_fusion`.
+/// Callers without observability pass [`exl_obs::NoopRecorder`] and
+/// [`exl_obs::Span::disabled`].
 pub fn execute(
-    code: &TargetCode,
-    input: &Dataset,
-    wanted: &[CubeId],
-) -> Result<Dataset, EngineError> {
-    execute_recorded(code, input, wanted, &exl_obs::NoopRecorder)
-}
-
-/// [`execute`] with per-backend timing: the whole call runs under the
-/// `target.execute.<name>` span, and the chase / parallel-ETL backends
-/// additionally emit their own counters to `recorder`.
-pub fn execute_recorded(
-    code: &TargetCode,
-    input: &Dataset,
-    wanted: &[CubeId],
-    recorder: &dyn exl_obs::Recorder,
-) -> Result<Dataset, EngineError> {
-    execute_traced(code, input, wanted, recorder, &exl_obs::Span::disabled())
-}
-
-/// [`execute_recorded`] with hierarchical tracing: the whole backend call
-/// runs under an `execute.<target>` child span of `trace`, and each
-/// backend records its internal steps as grandchildren (`chase.tgd`,
-/// `sql.stmt`, `rmini.stmt`, `matmini.stmt`, `etl.flow`, …).
-pub fn execute_traced(
     code: &TargetCode,
     input: &Dataset,
     wanted: &[CubeId],
     recorder: &dyn exl_obs::Recorder,
     trace: &exl_obs::Span,
-) -> Result<Dataset, EngineError> {
-    execute_in_context(code, input, wanted, recorder, &trace.context())
-}
-
-/// [`execute_traced`] parented via a [`SpanContext`](exl_obs::SpanContext)
-/// instead of a live [`Span`](exl_obs::Span) handle — the form the
-/// supervisor uses to keep the span tree connected across its worker
-/// threads.
-pub fn execute_in_context(
-    code: &TargetCode,
-    input: &Dataset,
-    wanted: &[CubeId],
-    recorder: &dyn exl_obs::Recorder,
-    ctx: &exl_obs::SpanContext,
-) -> Result<Dataset, EngineError> {
-    execute_in_context_opts(code, input, wanted, recorder, ctx, ExecOpts::default())
-}
-
-/// [`execute_in_context`] with explicit [`ExecOpts`] — the form the
-/// engine uses to control fusion per run instead of via process-global
-/// environment state.
-pub fn execute_in_context_opts(
-    code: &TargetCode,
-    input: &Dataset,
-    wanted: &[CubeId],
-    recorder: &dyn exl_obs::Recorder,
-    ctx: &exl_obs::SpanContext,
     opts: ExecOpts,
 ) -> Result<Dataset, EngineError> {
     let _span = exl_obs::span(recorder, format!("target.execute.{}", code.target_name()));
-    let exec = ctx.child(format!("execute.{}", code.target_name()));
+    let exec = trace.child(format!("execute.{}", code.target_name()));
     exec.set_attr("target", code.target_name());
     exec.set_attr("rows_in", dataset_rows(input));
-    let out = execute_traced_inner(code, input, wanted, recorder, &exec, opts);
+    let out = execute_backend(code, input, wanted, recorder, &exec, opts);
     match &out {
         Ok(ds) => {
             exec.set_attr("rows_out", dataset_rows(ds));
@@ -386,7 +344,7 @@ fn governed_or<E: std::fmt::Display>(
     }
 }
 
-fn execute_traced_inner(
+fn execute_backend(
     code: &TargetCode,
     input: &Dataset,
     wanted: &[CubeId],
@@ -402,11 +360,13 @@ fn execute_traced_inner(
     exl_fault::govern::checkpoint()?;
     let full = match code {
         TargetCode::Native { analyzed } => {
-            let eval_opts = exl_eval::EvalOptions {
-                no_fusion: opts.no_fusion,
+            let evaluated = if opts.no_fusion {
+                exl_eval::run_program_unfused(analyzed, input)
+                    .map(|env| (env, exl_eval::PlanStats::default()))
+            } else {
+                exl_eval::run_program_fused(analyzed, input)
             };
-            let (full, plan) = exl_eval::run_program_with_stats_opts(analyzed, input, eval_opts)
-                .map_err(|e| governed_or(e.govern_cause(), &e, None))?;
+            let (full, plan) = evaluated.map_err(|e| governed_or(e.govern_cause(), &e, None))?;
             // plan-compilation telemetry: counters accumulate per run,
             // flight events mark which subgraphs actually fused or CSE'd
             recorder.incr_counter("plan.regions", plan.regions);
@@ -479,7 +439,7 @@ fn execute_traced_inner(
                 }
             }
             for stmt in statements {
-                engine.execute_traced(stmt, trace).map_err(|e| {
+                engine.run_traced(stmt, trace).map_err(|e| {
                     governed_or(e.govern_cause(), &e, Some(&format!("statement:\n{stmt}")))
                 })?;
             }
@@ -564,34 +524,7 @@ pub fn run_on_target(
     input: &Dataset,
     target: TargetKind,
 ) -> Result<Dataset, EngineError> {
-    run_on_target_recorded(analyzed, input, target, &exl_obs::NoopRecorder)
-}
-
-/// [`run_on_target`] with translation timed under `engine.translate` and
-/// execution instrumented via [`execute_recorded`].
-pub fn run_on_target_recorded(
-    analyzed: &AnalyzedProgram,
-    input: &Dataset,
-    target: TargetKind,
-    recorder: &dyn exl_obs::Recorder,
-) -> Result<Dataset, EngineError> {
-    run_on_target_opts(analyzed, input, target, recorder, ExecOpts::default())
-}
-
-/// [`run_on_target_recorded`] with explicit [`ExecOpts`] — used by `exlc`
-/// to apply its CLI-level fusion/thread defaults without mutating
-/// process-global environment state.
-pub fn run_on_target_opts(
-    analyzed: &AnalyzedProgram,
-    input: &Dataset,
-    target: TargetKind,
-    recorder: &dyn exl_obs::Recorder,
-    opts: ExecOpts,
-) -> Result<Dataset, EngineError> {
-    let code = {
-        let _span = exl_obs::span(recorder, "engine.translate");
-        translate(analyzed, target)?
-    };
+    let code = translate(analyzed, target)?;
     let wanted = analyzed.program.derived_ids();
     // the executors read only the cubes the program needs
     let inputs: Vec<CubeId> = analyzed.elementary_inputs();
@@ -603,13 +536,13 @@ pub fn run_on_target_opts(
             )));
         }
     }
-    execute_in_context_opts(
+    execute(
         &code,
         &restricted,
         &wanted,
-        recorder,
-        &exl_obs::Span::disabled().context(),
-        opts,
+        &exl_obs::NoopRecorder,
+        &exl_obs::Span::disabled(),
+        ExecOpts::default(),
     )
 }
 

@@ -725,3 +725,70 @@ fn perf_rejects_bad_flags() {
         .unwrap()
         .contains("--threshold"));
 }
+
+/// `addz` has no SQL translation: the run falls back to the native
+/// engine at translation time.
+const ADDZ_PROGRAM: &str = "cube A(k: int) -> y; cube B(k: int) -> z; C := addz(A, B);";
+
+const ADDZ_DATA: &str = r#"{
+    "A": [ [[{"Int": 1}], 1.0], [[{"Int": 2}], 3.0] ],
+    "B": [ [[{"Int": 1}], 2.0] ]
+}"#;
+
+/// Every `exlc run` takes the same dispatch route, so no observability or
+/// fault-handling flag changes what a run computes.
+#[test]
+fn run_flags_never_change_the_result() {
+    let p = write_tmp("addz.exl", ADDZ_PROGRAM);
+    let d = write_tmp("addz.json", ADDZ_DATA);
+    let dir = std::env::temp_dir().join(format!("exlc-addz-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (trace, metrics, ledger) = (path("t.json"), path("m.json"), path("ledger"));
+    let runs: Vec<Vec<&str>> = vec![
+        vec![],
+        vec!["--trace", &trace],
+        vec!["--progress"],
+        vec!["--retries", "1"],
+        vec!["--metrics", &metrics],
+        vec!["--ledger-dir", &ledger],
+    ];
+    let mut stdouts = Vec::new();
+    for flags in &runs {
+        let mut args = flags.clone();
+        args.extend(["run", p.to_str().unwrap(), d.to_str().unwrap(), "sql"]);
+        let out = exlc(&args);
+        assert!(
+            out.status.success(),
+            "{flags:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        stdouts.push(String::from_utf8(out.stdout).unwrap());
+    }
+    let parsed: serde_json::Value = serde_json::from_str(&stdouts[0]).unwrap();
+    assert_eq!(parsed["C"].as_array().map(Vec::len), Some(2), "{parsed:?}");
+    for (flags, stdout) in runs.iter().zip(&stdouts) {
+        assert_eq!(stdout, &stdouts[0], "{flags:?} changed the result");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A backend panic is contained by the supervisor on a plain run too:
+/// a diagnostic and exit 1, never an aborted process.
+#[test]
+fn injected_panic_is_contained_without_other_flags() {
+    let p = write_tmp("plainpanic.exl", PROGRAM);
+    let d = write_tmp("plainpanic.json", RUN_DATA);
+    let out = exlc(&[
+        "--inject-fault",
+        "exec.native:1:panic",
+        "run",
+        p.to_str().unwrap(),
+        d.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("target native panicked"), "{stderr}");
+    assert!(out.stdout.is_empty());
+}

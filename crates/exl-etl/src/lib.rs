@@ -18,10 +18,7 @@ pub use flow::{
     DataSourceStep, EtlError, Flow, Job, JoinKind, MergeJoinStep, OutputStep, TransformStep,
 };
 pub use flowgen::{mapping_to_job, tgd_to_flow};
-pub use parallel::{
-    run_flow_parallel, run_flow_parallel_recorded, run_flow_parallel_traced, run_job_parallel,
-    run_job_parallel_recorded, run_job_parallel_traced,
-};
+pub use parallel::{run_flow_parallel_traced, run_job_parallel, run_job_parallel_traced};
 pub use row::{Field, Row};
 
 #[cfg(test)]
@@ -234,7 +231,13 @@ mod tests {
                 measure_field: "v".into(),
             },
         };
-        let err = run_flow_parallel(&flow, &Dataset::new()).unwrap_err();
+        let err = run_flow_parallel_traced(
+            &flow,
+            &Dataset::new(),
+            &exl_obs::NoopRecorder,
+            &exl_obs::Span::disabled(),
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("no data sources"), "{err}");
     }
 
@@ -245,7 +248,8 @@ mod tests {
         let (_, mapping, _, input) = gdp_setup();
         let job = mapping_to_job(&mapping).unwrap();
         let registry = exl_obs::MetricsRegistry::new();
-        let out = run_job_parallel_recorded(&job, &input, &registry).unwrap();
+        let out =
+            run_job_parallel_traced(&job, &input, &registry, &exl_obs::Span::disabled()).unwrap();
         assert!(out.data(&"GDP".into()).is_some());
         let snap = registry.snapshot();
         assert!(snap.counter("etl.rows.source") > 0);

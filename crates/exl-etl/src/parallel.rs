@@ -35,27 +35,14 @@ const OCCUPANCY_SAMPLE_EVERY: u64 = 64;
 /// the producing stage.
 type RowResult = Result<Row, EtlError>;
 
-/// Execute a flow with one thread per step.
-pub fn run_flow_parallel(flow: &Flow, data: &Dataset) -> Result<CubeData, EtlError> {
-    run_flow_parallel_recorded(flow, data, &NoopRecorder)
-}
-
-/// [`run_flow_parallel`] with per-step row counters (`etl.rows.source`,
-/// `etl.rows.merge`, `etl.rows.transform`, `etl.rows.output`) and a
-/// channel-occupancy gauge (`etl.channel.depth`) emitted to `recorder`.
-pub fn run_flow_parallel_recorded(
-    flow: &Flow,
-    data: &Dataset,
-    recorder: &dyn Recorder,
-) -> Result<CubeData, EtlError> {
-    run_flow_parallel_traced(flow, data, recorder, &exl_obs::Span::disabled())
-}
-
-/// [`run_flow_parallel_recorded`] with hierarchical tracing: the flow
-/// runs under an `etl.flow` child span of `trace`, and every pipeline
-/// stage records its own span (`etl.source`, `etl.merge`,
-/// `etl.transform`, `etl.output`) *from its worker thread*, so the
-/// exported trace shows the stages genuinely overlapping in time.
+/// Execute a flow with one thread per step, with per-step row counters
+/// (`etl.rows.source`, `etl.rows.merge`, `etl.rows.transform`,
+/// `etl.rows.output`) and a channel-occupancy gauge (`etl.channel.depth`)
+/// emitted to `recorder`. The flow runs under an `etl.flow` child span
+/// of `trace`, and every pipeline stage records its own span
+/// (`etl.source`, `etl.merge`, `etl.transform`, `etl.output`) *from its
+/// worker thread*, so the exported trace shows the stages genuinely
+/// overlapping in time.
 pub fn run_flow_parallel_traced(
     flow: &Flow,
     data: &Dataset,
@@ -70,7 +57,7 @@ pub fn run_flow_parallel_traced(
     let flow_span = trace.child("etl.flow");
     flow_span.set_attr("flow", flow.id.clone());
     flow_span.set_attr("cube", flow.output.relation.to_string());
-    let flow_ctx = flow_span.context();
+    let flow_span = &flow_span;
     // stage threads can't see the spawning thread's ambient governor, so
     // capture it here and check it explicitly at each stage entry
     let governor = exl_fault::govern::governor();
@@ -84,10 +71,9 @@ pub fn run_flow_parallel_traced(
         for source in &flow.sources {
             let (tx, rx) = bounded::<RowResult>(CHANNEL_CAP);
             stream_rx.push(rx);
-            let ctx = flow_ctx.clone();
             scope.spawn(move || {
                 let _run = exl_obs::flight::enter_run(run);
-                let span = ctx.child("etl.source");
+                let span = flow_span.child("etl.source");
                 span.set_attr("relation", source.relation.to_string());
                 let mut sent = 0u64;
                 match stage_entry(governor).and_then(|()| read_source(source, data)) {
@@ -111,11 +97,10 @@ pub fn run_flow_parallel_traced(
             let (tx, rx) = bounded::<RowResult>(CHANNEL_CAP);
             let left_rx = acc;
             acc = rx;
-            let ctx = flow_ctx.clone();
             scope.spawn(move || {
                 let _run = exl_obs::flight::enter_run(run);
                 // build from the right stream, then probe with the left
-                let span = ctx.child("etl.merge");
+                let span = flow_span.child("etl.merge");
                 let mut sent = 0u64;
                 let merged = stage_entry(governor)
                     .and_then(|()| collect_rows(right_rx))
@@ -143,10 +128,9 @@ pub fn run_flow_parallel_traced(
             let (tx, rx) = bounded::<RowResult>(CHANNEL_CAP);
             let input = acc;
             acc = rx;
-            let ctx = flow_ctx.clone();
             scope.spawn(move || {
                 let _run = exl_obs::flight::enter_run(run);
-                let span = ctx.child("etl.transform");
+                let span = flow_span.child("etl.transform");
                 span.set_attr("kind", t.kind());
                 let mut sent = 0u64;
                 if let Err(e) = stage_entry(governor) {
@@ -265,21 +249,13 @@ fn is_streaming(t: &TransformStep) -> bool {
 /// Run a whole job with pipeline-parallel flows (flows still execute in
 /// tgd total order, since later flows read earlier results).
 pub fn run_job_parallel(job: &Job, input: &Dataset) -> Result<Dataset, EtlError> {
-    run_job_parallel_recorded(job, input, &NoopRecorder)
+    run_job_parallel_traced(job, input, &NoopRecorder, &exl_obs::Span::disabled())
 }
 
-/// [`run_job_parallel`] with the whole job timed under the `etl.job` span
-/// and per-step row counters emitted to `recorder`.
-pub fn run_job_parallel_recorded(
-    job: &Job,
-    input: &Dataset,
-    recorder: &dyn Recorder,
-) -> Result<Dataset, EtlError> {
-    run_job_parallel_traced(job, input, recorder, &exl_obs::Span::disabled())
-}
-
-/// [`run_job_parallel_recorded`] with each flow traced under an
-/// `etl.flow` child span of `trace` (see [`run_flow_parallel_traced`]).
+/// [`run_job_parallel`] with the whole job timed under the `etl.job`
+/// span, per-step row counters emitted to `recorder`, and each flow
+/// traced under an `etl.flow` child span of `trace` (see
+/// [`run_flow_parallel_traced`]).
 pub fn run_job_parallel_traced(
     job: &Job,
     input: &Dataset,

@@ -65,20 +65,6 @@ pub(crate) fn workers() -> usize {
         .min(8)
 }
 
-/// Per-run evaluation options.
-///
-/// The switch defaults to the fast path and exists so that callers — the
-/// engine dispatcher, differential tests, `exlc` — can pin behavior *per
-/// run* instead of through a process-global environment variable, which
-/// races under a parallel test harness. `exlc` still reads `EXL_NO_FUSION`
-/// as a CLI-level default.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EvalOptions {
-    /// Skip plan compilation and run the statement-at-a-time reference
-    /// evaluator. Bit-identical results either way.
-    pub no_fusion: bool,
-}
-
 /// Seasonal period implied by a time frequency, shared by every backend so
 /// that `stl_*` means the same thing everywhere.
 pub fn series_period(freq: Frequency) -> usize {
@@ -168,46 +154,12 @@ impl EvalSession {
 /// Fails when an elementary input is missing or base data is malformed.
 ///
 /// The program is compiled into a fused region plan ([`crate::plan`])
-/// before execution; [`run_program_opts`] with
-/// [`EvalOptions::no_fusion`] falls back to the statement-at-a-time
-/// evaluator. Both paths produce bit-identical results — the escape
-/// hatch exists for differential testing and for isolating fusion when
-/// debugging.
+/// before execution ([`run_program_fused`]); [`run_program_unfused`] is
+/// the statement-at-a-time evaluator. Both paths produce bit-identical
+/// results — the unfused one exists for differential testing and for
+/// isolating fusion when debugging.
 pub fn run_program(analyzed: &AnalyzedProgram, input: &Dataset) -> Result<Dataset, EvalError> {
-    run_program_opts(analyzed, input, EvalOptions::default())
-}
-
-/// [`run_program`] with explicit per-run [`EvalOptions`].
-pub fn run_program_opts(
-    analyzed: &AnalyzedProgram,
-    input: &Dataset,
-    opts: EvalOptions,
-) -> Result<Dataset, EvalError> {
-    run_program_with_stats_opts(analyzed, input, opts).map(|(env, _)| env)
-}
-
-/// [`run_program`] variant that also reports the compiled plan's
-/// statistics (regions formed, statements fused, CSE reuses, bytes not
-/// materialized) so dispatchers can surface them as metrics.
-pub fn run_program_with_stats(
-    analyzed: &AnalyzedProgram,
-    input: &Dataset,
-) -> Result<(Dataset, crate::plan::PlanStats), EvalError> {
-    run_program_with_stats_opts(analyzed, input, EvalOptions::default())
-}
-
-/// [`run_program_with_stats`] with explicit per-run [`EvalOptions`].
-/// Unfused runs return zeroed stats.
-pub fn run_program_with_stats_opts(
-    analyzed: &AnalyzedProgram,
-    input: &Dataset,
-    opts: EvalOptions,
-) -> Result<(Dataset, crate::plan::PlanStats), EvalError> {
-    if opts.no_fusion {
-        let env = run_program_unfused(analyzed, input)?;
-        return Ok((env, crate::plan::PlanStats::default()));
-    }
-    run_program_fused(analyzed, input)
+    run_program_fused(analyzed, input).map(|(env, _)| env)
 }
 
 /// Statement-at-a-time evaluation: every intermediate cube is
@@ -260,8 +212,10 @@ pub fn run_program_unfused(
 /// still materialize. Governance parity with the unfused path: one
 /// checkpoint per statement turn (plus one per region, so cancellation
 /// lands between fused regions too) and one `charge` per statement at
-/// the statement's output size.
-fn run_program_fused(
+/// the statement's output size. Also returns the compiled plan's
+/// statistics (regions formed, statements fused, CSE reuses, bytes not
+/// materialized) so dispatchers can surface them as metrics.
+pub fn run_program_fused(
     analyzed: &AnalyzedProgram,
     input: &Dataset,
 ) -> Result<(Dataset, crate::plan::PlanStats), EvalError> {

@@ -13,9 +13,9 @@
 //! disarmed tracer ([`Tracer::disabled`], also the `Default`) allocates
 //! nothing and every operation on it — span creation, attributes, events —
 //! is a branch on an `Option` and an immediate return. Armed tracers share
-//! one mutex-guarded buffer through an `Arc`, so spans can be opened from
-//! worker threads (dispatch workers, pipeline-parallel ETL stages) via
-//! [`SpanContext`].
+//! one mutex-guarded buffer through an `Arc`, and a [`Span`] is `Sync`, so
+//! worker threads (dispatch workers, pipeline-parallel ETL stages) open
+//! children through a borrowed `&Span`.
 //!
 //! Naming convention: short dotted lowercase names describing the unit of
 //! work, not the specific instance — `run`, `plan`, `stage`, `subgraph`,
@@ -299,8 +299,8 @@ impl Tracer {
 }
 
 /// RAII handle on an open span: ends (records `end_nanos`) when dropped.
-/// Obtained from [`Tracer::root`], [`Span::child`], or
-/// [`SpanContext::child`]; a handle from a disabled tracer is inert.
+/// Obtained from [`Tracer::root`] or [`Span::child`]; a handle from a
+/// disabled tracer is inert.
 #[must_use = "a span ends when its handle drops"]
 #[derive(Debug)]
 pub struct Span {
@@ -368,15 +368,6 @@ impl Span {
             }
         });
     }
-
-    /// A cloneable, `Send` reference to this span, for opening children
-    /// from other threads. The context does not keep the span open.
-    pub fn context(&self) -> SpanContext {
-        SpanContext {
-            tracer: self.tracer.clone(),
-            id: self.id,
-        }
-    }
 }
 
 impl Drop for Span {
@@ -386,24 +377,6 @@ impl Drop for Span {
                 span.end_nanos = Some(now);
             }
         });
-    }
-}
-
-/// A detached reference to a span, for parenting work on other threads.
-#[derive(Debug, Clone)]
-pub struct SpanContext {
-    tracer: Tracer,
-    id: u64,
-}
-
-impl SpanContext {
-    /// Open a child of the referenced span (inert when the tracer is
-    /// disabled).
-    pub fn child(&self, name: impl Into<String>) -> Span {
-        if !self.tracer.is_enabled() {
-            return Span::disabled();
-        }
-        self.tracer.start_span(Some(self.id), name)
     }
 }
 
@@ -632,8 +605,9 @@ mod tests {
         span.set_attr("k", 1u64);
         span.add_event("nothing");
         let child = span.child("y");
-        let grandchild = child.context().child("z");
-        drop(grandchild);
+        std::thread::scope(|scope| {
+            scope.spawn(|| drop(child.child("z")));
+        });
         drop(child);
         drop(span);
         assert!(tracer.snapshot().spans.is_empty());
@@ -647,19 +621,20 @@ mod tests {
     fn cross_thread_children_attach_to_their_parent() {
         let tracer = Tracer::new();
         let root = tracer.root("run");
-        let ctx = root.context();
-        let handles: Vec<_> = (0..3)
-            .map(|i| {
-                let ctx = ctx.clone();
-                std::thread::spawn(move || {
-                    let span = ctx.child("worker");
-                    span.set_attr("index", i as u64);
+        let parent = &root;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..3)
+                .map(|i| {
+                    scope.spawn(move || {
+                        let span = parent.child("worker");
+                        span.set_attr("index", i as u64);
+                    })
                 })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+                .collect();
+            for h in handles {
+                h.join().unwrap();
+            }
+        });
         drop(root);
         let snap = tracer.snapshot();
         let workers = snap.spans_named("worker");

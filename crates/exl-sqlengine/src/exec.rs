@@ -27,12 +27,12 @@ impl Engine {
 
     /// Execute one SQL statement; `Some(table)` is returned for SELECT.
     pub fn execute(&mut self, sql: &str) -> Result<Option<Table>, SqlError> {
-        self.execute_traced(sql, &exl_obs::Span::disabled())
+        self.run_traced(sql, &exl_obs::Span::disabled())
     }
 
     /// [`execute`](Engine::execute) with one `sql.stmt` child span of
     /// `trace` per executed statement (attrs: `index`, `kind`, `table`).
-    pub fn execute_traced(
+    pub fn run_traced(
         &mut self,
         sql: &str,
         trace: &exl_obs::Span,

@@ -99,10 +99,9 @@ fn fused_equals_unfused_over_120_seeded_programs() {
 fn fused_equals_unfused_on_deep_chains() {
     for depth in [1usize, 3, 10, 40] {
         let (analyzed, input) = chain_scenario(depth, 64);
-        let fused = exl_eval::run_program(&analyzed, &input).expect("fused chain");
+        let (fused, stats) = exl_eval::run_program_fused(&analyzed, &input).expect("fused chain");
         let unfused = exl_eval::run_program_unfused(&analyzed, &input).expect("unfused chain");
         assert_bit_identical(&analyzed, &fused, &unfused, &format!("chain depth {depth}"));
-        let (_, stats) = exl_eval::run_program_with_stats(&analyzed, &input).expect("stats");
         assert!(
             depth < 2 || stats.fused_ops > 0,
             "depth {depth}: chain workload did not fuse: {stats:?}"
