@@ -51,18 +51,17 @@ fn bench_chase(c: &mut Criterion) {
 
     // one instrumented pass at the largest GDP scale: span data and chase
     // counters for the B3 section of the collected report
-    let registry = exl_obs::MetricsRegistry::new();
+    let registry = std::sync::Arc::new(exl_obs::MetricsRegistry::new());
     let (analyzed, data, _) = gdp_at_scale(16, 48);
     let (mapping, re) = generate_mapping(&analyzed, GenMode::Fused).unwrap();
-    chase_traced(
-        &mapping,
-        &re.schemas,
-        &data,
-        ChaseMode::Stratified,
-        &registry,
-        &exl_obs::Span::disabled(),
-    )
-    .unwrap();
+    {
+        let span = exl_obs::Span::root(
+            &exl_obs::Tracer::disabled(),
+            Some(&registry),
+            "execute.chase",
+        );
+        chase_traced(&mapping, &re.schemas, &data, ChaseMode::Stratified, &span).unwrap();
+    }
     write_bench_metrics("B3", &registry);
 }
 

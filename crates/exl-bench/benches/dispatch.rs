@@ -91,8 +91,14 @@ fn bench_dispatch(c: &mut Criterion) {
     });
     let (mapping, _) = generate_mapping(&analyzed, GenMode::Fused).unwrap();
     let job = exl_etl::mapping_to_job(&mapping).unwrap();
-    exl_etl::run_job_parallel_traced(&job, &data, registry.as_ref(), &exl_obs::Span::disabled())
-        .unwrap();
+    {
+        let span = exl_obs::Span::root(
+            &exl_obs::Tracer::disabled(),
+            Some(&registry),
+            "execute.etl-parallel",
+        );
+        exl_etl::run_job_parallel_traced(&job, &data, &span).unwrap();
+    }
     exl_bench::write_bench_metrics("B5", &registry);
 }
 

@@ -63,38 +63,28 @@ pub fn chase(
     source: &Dataset,
     mode: ChaseMode,
 ) -> Result<ChaseResult, ChaseError> {
-    chase_traced(
-        mapping,
-        schemas,
-        source,
-        mode,
-        &exl_obs::NoopRecorder,
-        &exl_obs::Span::disabled(),
-    )
+    chase_traced(mapping, schemas, source, mode, &exl_obs::Span::disabled())
 }
 
-/// [`chase`] with observability: the run is timed under the `chase.run`
-/// span, the [`ChaseStats`] counters are mirrored into the recorder as
-/// `chase.applications` / `chase.homomorphisms` / `chase.facts_generated`
-/// / `chase.passes`, and each tgd application becomes a `chase.tgd`
-/// child span of `trace`, carrying the target relation, its dependency
-/// relations, and the homomorphism/fact counts of that step — the
-/// chase's contribution to the run's lineage tree.
+/// [`chase`] with observability: the [`ChaseStats`] counters are recorded
+/// through `span` as `chase.applications` / `chase.homomorphisms` /
+/// `chase.facts_generated` / `chase.passes`, and each tgd application
+/// becomes a `chase.tgd` child span, carrying the target relation, its
+/// dependency relations, and the homomorphism/fact counts of that step —
+/// the chase's contribution to the run's lineage tree.
 pub fn chase_traced(
     mapping: &Mapping,
     schemas: &BTreeMap<CubeId, CubeSchema>,
     source: &Dataset,
     mode: ChaseMode,
-    recorder: &dyn exl_obs::Recorder,
-    trace: &exl_obs::Span,
+    span: &exl_obs::Span,
 ) -> Result<ChaseResult, ChaseError> {
-    let _span = exl_obs::span(recorder, "chase.run");
-    let result = chase_inner(mapping, schemas, source, mode, trace);
+    let result = chase_inner(mapping, schemas, source, mode, span);
     if let Ok(r) = &result {
-        recorder.incr_counter("chase.applications", r.stats.applications as u64);
-        recorder.incr_counter("chase.homomorphisms", r.stats.homomorphisms as u64);
-        recorder.incr_counter("chase.facts_generated", r.stats.facts_generated as u64);
-        recorder.incr_counter("chase.passes", r.stats.passes as u64);
+        span.incr_counter("chase.applications", r.stats.applications as u64);
+        span.incr_counter("chase.homomorphisms", r.stats.homomorphisms as u64);
+        span.incr_counter("chase.facts_generated", r.stats.facts_generated as u64);
+        span.incr_counter("chase.passes", r.stats.passes as u64);
     }
     result
 }

@@ -43,10 +43,6 @@
 //! * `--keep-going` — degradation mode: complete everything not
 //!   downstream of a failure (meaningful for multi-subgraph runs).
 //!
-//! `EXL_NO_FUSION=1` in the environment disables plan fusion for the
-//! invocation (a CLI-level default; the library takes the switch per
-//! run via `ExecOpts`).
-//!
 //! Governance options for `run`/`explain` (see `docs/GOVERNANCE.md`):
 //!
 //! * `--run-deadline-ms <n>` — wall-clock budget for the whole run; when
@@ -104,7 +100,7 @@ use std::sync::Arc;
 
 use exl_engine::{translate, DispatchPolicy, ExlEngine, LineageReport, ProgressSink, TargetKind};
 use exl_model::{Cube, CubeData, Dataset, DimTuple};
-use exl_obs::{MetricsRegistry, NoopRecorder, Recorder, Tracer};
+use exl_obs::{MetricsRegistry, Span, Tracer};
 
 /// Everything pulled off the command line before the subcommand runs.
 struct Globals {
@@ -120,16 +116,11 @@ struct Globals {
     bundle_dir: Option<String>,
     ledger_dir: Option<String>,
     inject_fault: Option<String>,
-}
-
-/// The CLI-level execution defaults: `EXL_NO_FUSION=1` disables plan
-/// fusion for this invocation. The env var is read exactly here — the
-/// library takes the switch per run via [`exl_engine::ExecOpts`], so
-/// parallel test harnesses are never exposed to a process-global toggle.
-fn exec_from_env() -> exl_engine::ExecOpts {
-    exl_engine::ExecOpts {
-        no_fusion: std::env::var("EXL_NO_FUSION").is_ok_and(|v| !v.is_empty() && v != "0"),
-    }
+    /// The command's tracer (armed by `--trace`).
+    tracer: Tracer,
+    /// The command's metrics registry (armed by any flag whose sink
+    /// needs one).
+    metrics: Option<Arc<MetricsRegistry>>,
 }
 
 /// The process-wide external cancellation token. SIGINT cancels it; every
@@ -212,39 +203,22 @@ fn main() -> ExitCode {
             }
         }
     }
-    // crash bundles embed a metrics snapshot and ledger records carry
-    // cache/throughput counters, so both sinks want a live registry
-    let want_metrics = globals.metrics_path.is_some()
-        || globals.metrics_prom.is_some()
-        || globals.bundle_dir.is_some()
-        || globals.ledger_dir.is_some();
-    let registry = Arc::new(MetricsRegistry::new());
-    let recorder: &dyn Recorder = if want_metrics {
-        registry.as_ref()
-    } else {
-        &NoopRecorder
-    };
-    let metrics = want_metrics.then_some(&registry);
-    let tracer = if globals.trace_path.is_some() {
-        Tracer::new()
-    } else {
-        Tracer::disabled()
-    };
-    let outcome = run(&args, recorder, metrics, &globals, &tracer);
-    if let Some(path) = &globals.metrics_path {
+    let outcome = run(&args, &globals);
+    let registry = globals.metrics.as_deref();
+    if let (Some(path), Some(registry)) = (&globals.metrics_path, registry) {
         if let Err(e) = std::fs::write(path, registry.to_json()) {
             eprintln!("exlc: cannot write metrics to {path}: {e}");
             return ExitCode::FAILURE;
         }
     }
-    if let Some(path) = &globals.metrics_prom {
+    if let (Some(path), Some(registry)) = (&globals.metrics_prom, registry) {
         if let Err(e) = std::fs::write(path, registry.to_prometheus_text()) {
             eprintln!("exlc: cannot write prometheus metrics to {path}: {e}");
             return ExitCode::FAILURE;
         }
     }
     if let Some(path) = &globals.trace_path {
-        if let Err(e) = std::fs::write(path, tracer.snapshot().to_chrome_json()) {
+        if let Err(e) = std::fs::write(path, globals.tracer.snapshot().to_chrome_json()) {
             eprintln!("exlc: cannot write trace to {path}: {e}");
             return ExitCode::FAILURE;
         }
@@ -285,7 +259,19 @@ fn extract_globals(args: &mut Vec<String>) -> Result<Globals, String> {
     let bundle_dir = extract_value_flag(args, "--bundle-dir")?;
     let ledger_dir = extract_value_flag(args, "--ledger-dir")?;
     let inject_fault = extract_value_flag(args, "--inject-fault")?;
+    // crash bundles embed a metrics snapshot and ledger records carry
+    // cache/throughput counters, so both sinks want a live registry
+    let want_metrics = metrics_path.is_some()
+        || metrics_prom.is_some()
+        || bundle_dir.is_some()
+        || ledger_dir.is_some();
     Ok(Globals {
+        tracer: if trace_path.is_some() {
+            Tracer::new()
+        } else {
+            Tracer::disabled()
+        },
+        metrics: want_metrics.then(|| Arc::new(MetricsRegistry::new())),
         metrics_path,
         metrics_prom,
         trace_path,
@@ -393,13 +379,7 @@ fn parse_fault_plan(spec: &str) -> Result<exl_fault::FaultPlan, String> {
     Ok(exl_fault::FaultPlan::one(site, nth, action))
 }
 
-fn run(
-    args: &[String],
-    recorder: &dyn Recorder,
-    metrics: Option<&Arc<MetricsRegistry>>,
-    globals: &Globals,
-    tracer: &Tracer,
-) -> Result<(), String> {
+fn run(args: &[String], globals: &Globals) -> Result<(), String> {
     let usage = "usage: exlc [--metrics <path>] [--metrics-prom <path>] [--trace <path>] \
                  [--progress] [--retries <n>] \
                  [--subgraph-timeout-ms <n>] [--keep-going] [--cache-dir <dir>] [--no-cache] \
@@ -408,12 +388,12 @@ fn run(
                  <check|tgds|translate|run|plan|explain|perf> …  (see crate docs)";
     match args {
         [cmd, rest @ ..] => match cmd.as_str() {
-            "check" => check(rest, recorder),
-            "tgds" => tgds(rest, recorder),
-            "translate" => do_translate(rest, recorder),
-            "run" => do_run(rest, recorder, metrics, globals, tracer),
-            "plan" => do_plan(rest, recorder, metrics, globals, tracer),
-            "explain" => explain(rest, recorder, metrics, globals, tracer),
+            "check" => check(rest, globals),
+            "tgds" => tgds(rest, globals),
+            "translate" => do_translate(rest, globals),
+            "run" => do_run(rest, globals),
+            "plan" => do_plan(rest, globals),
+            "explain" => explain(rest, globals),
             "perf" => perf(rest),
             other => Err(format!("unknown command `{other}`\n{usage}")),
         },
@@ -421,22 +401,26 @@ fn run(
     }
 }
 
-fn load_program(path: &str, recorder: &dyn Recorder) -> Result<exl_lang::AnalyzedProgram, String> {
+/// Parse and analyze a program file, each step under its own root span
+/// (`lang.parse`, `lang.analyze`) of the command's tracer and registry.
+fn load_program(path: &str, globals: &Globals) -> Result<exl_lang::AnalyzedProgram, String> {
     let source = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let root = |name| Span::root(&globals.tracer, globals.metrics.as_ref(), name);
     let program = {
-        let _span = exl_obs::span(recorder, "lang.parse");
-        exl_lang::parse_program(&source).map_err(|e| format!("{path}: {e}"))?
+        let span = root("lang.parse");
+        let program = exl_lang::parse_program(&source).map_err(|e| format!("{path}: {e}"))?;
+        span.incr_counter("lang.statements", program.statements.len() as u64);
+        program
     };
-    recorder.incr_counter("lang.statements", program.statements.len() as u64);
-    let _span = exl_obs::span(recorder, "lang.analyze");
+    let _span = root("lang.analyze");
     exl_lang::analyze(&program, &[]).map_err(|e| format!("{path}: {e}"))
 }
 
-fn check(args: &[String], recorder: &dyn Recorder) -> Result<(), String> {
+fn check(args: &[String], globals: &Globals) -> Result<(), String> {
     let [path] = args else {
         return Err("usage: exlc check <program.exl>".into());
     };
-    let analyzed = load_program(path, recorder)?;
+    let analyzed = load_program(path, globals)?;
     out!("ok: {} statements", analyzed.program.statements.len());
     for (id, schema) in &analyzed.schemas {
         let kind = match schema.kind {
@@ -449,11 +433,11 @@ fn check(args: &[String], recorder: &dyn Recorder) -> Result<(), String> {
     Ok(())
 }
 
-fn tgds(args: &[String], recorder: &dyn Recorder) -> Result<(), String> {
+fn tgds(args: &[String], globals: &Globals) -> Result<(), String> {
     let [path] = args else {
         return Err("usage: exlc tgds <program.exl>".into());
     };
-    let analyzed = load_program(path, recorder)?;
+    let analyzed = load_program(path, globals)?;
     let (mapping, _) =
         exl_map::generate_mapping(&analyzed, exl_map::GenMode::Fused).map_err(|e| e.to_string())?;
     out!("{}", mapping.display_tgds());
@@ -475,11 +459,11 @@ fn parse_target(name: &str) -> Result<TargetKind, String> {
         })
 }
 
-fn do_translate(args: &[String], recorder: &dyn Recorder) -> Result<(), String> {
+fn do_translate(args: &[String], globals: &Globals) -> Result<(), String> {
     let [target, path] = args else {
         return Err("usage: exlc translate <target> <program.exl>".into());
     };
-    let analyzed = load_program(path, recorder)?;
+    let analyzed = load_program(path, globals)?;
     let code = translate(&analyzed, parse_target(target)?).map_err(|e| e.to_string())?;
     out!("{}", code.listing());
     Ok(())
@@ -531,14 +515,12 @@ fn build_engine(
     path: &str,
     analyzed: &exl_lang::AnalyzedProgram,
     input: &Dataset,
-    metrics: Option<&Arc<MetricsRegistry>>,
     globals: &Globals,
-    tracer: &Tracer,
 ) -> Result<ExlEngine, String> {
     let source = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let mut e = ExlEngine::new();
-    e.set_tracer(tracer.clone());
-    if let Some(registry) = metrics {
+    e.set_tracer(globals.tracer.clone());
+    if let Some(registry) = &globals.metrics {
         e.set_metrics_registry(registry.clone());
     }
     e.policy = globals.policy.clone();
@@ -567,7 +549,6 @@ fn build_engine(
         e.set_ledger_dir(dir).map_err(|e| e.to_string())?;
     }
     e.govern = govern_config(globals);
-    e.exec = exec_from_env();
     e.register_program("main", &source)
         .map_err(|e| e.to_string())?;
     for id in analyzed.elementary_inputs() {
@@ -603,30 +584,18 @@ fn render_plan_overview(e: &ExlEngine) -> Result<String, String> {
 /// `exlc plan <program.exl> <data.json|dir>` — offline plan
 /// introspection: prints each native subgraph's fusion regions, CSE
 /// hits, and materialization points without executing anything.
-fn do_plan(
-    args: &[String],
-    recorder: &dyn Recorder,
-    metrics: Option<&Arc<MetricsRegistry>>,
-    globals: &Globals,
-    tracer: &Tracer,
-) -> Result<(), String> {
+fn do_plan(args: &[String], globals: &Globals) -> Result<(), String> {
     let [path, data_path] = args else {
         return Err("usage: exlc plan <program.exl> <data.json|dir>".into());
     };
-    let analyzed = load_program(path, recorder)?;
+    let analyzed = load_program(path, globals)?;
     let input = load_input(data_path, &analyzed)?;
-    let e = build_engine(path, &analyzed, &input, metrics, globals, tracer)?;
+    let e = build_engine(path, &analyzed, &input, globals)?;
     out!("{}", render_plan_overview(&e)?);
     Ok(())
 }
 
-fn do_run(
-    args: &[String],
-    recorder: &dyn Recorder,
-    metrics: Option<&Arc<MetricsRegistry>>,
-    globals: &Globals,
-    tracer: &Tracer,
-) -> Result<(), String> {
+fn do_run(args: &[String], globals: &Globals) -> Result<(), String> {
     let mut args = args.to_vec();
     let dump_plan = extract_value_flag(&mut args, "--dump-plan")?;
     let (path, data_path, target) = match args.as_slice() {
@@ -642,7 +611,7 @@ fn do_run(
     // bridge SIGINT before the (potentially long) data load, so a
     // Ctrl-C during it is remembered and aborts at the first checkpoint
     install_sigint();
-    let analyzed = load_program(path, recorder)?;
+    let analyzed = load_program(path, globals)?;
     let input = load_input(data_path, &analyzed)?;
 
     // chaos injection: hold the installed plan for the whole run so
@@ -651,7 +620,7 @@ fn do_run(
         Some(spec) => Some(exl_fault::install(parse_fault_plan(spec)?)),
         None => None,
     };
-    let mut e = build_engine(path, &analyzed, &input, metrics, globals, tracer)?;
+    let mut e = build_engine(path, &analyzed, &input, globals)?;
     e.default_target = target;
     // --dump-plan: write the compiled-plan overview before executing, so
     // the dump exists even if the run itself fails
@@ -692,30 +661,20 @@ fn do_run(
     Ok(())
 }
 
-fn explain(
-    args: &[String],
-    recorder: &dyn Recorder,
-    metrics: Option<&Arc<MetricsRegistry>>,
-    globals: &Globals,
-    tracer: &Tracer,
-) -> Result<(), String> {
+fn explain(args: &[String], globals: &Globals) -> Result<(), String> {
     let [path, data_path, cube] = args else {
         return Err("usage: exlc explain <program.exl> <data.json|dir> <cube>".into());
     };
-    let analyzed = load_program(path, recorder)?;
+    let analyzed = load_program(path, globals)?;
     let id = cube.as_str().into();
     if !analyzed.schemas.contains_key(&id) {
         return Err(format!("unknown cube `{cube}` in {path}"));
     }
     let input = load_input(data_path, &analyzed)?;
-    // explain needs span data: reuse the CLI tracer when --trace armed
+    let mut e = build_engine(path, &analyzed, &input, globals)?;
+    // explain needs span data: keep the CLI tracer when --trace armed
     // one (so the trace file also captures this run), else arm our own
-    let tracer = if tracer.is_enabled() {
-        tracer.clone()
-    } else {
-        Tracer::new()
-    };
-    let mut e = build_engine(path, &analyzed, &input, metrics, globals, &tracer)?;
+    let tracer = e.enable_tracing();
     e.apply_suggested_affinities().map_err(|e| e.to_string())?;
     e.run_all().map_err(|e| e.to_string())?;
     let report = LineageReport::from_trace(&tracer.snapshot(), e.graph());

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use exl_model::schema::{CubeId, CubeKind};
 use exl_model::CubeData;
-use exl_obs::{MetricsRegistry, MetricsSnapshot, NoopRecorder, Recorder, Span};
+use exl_obs::{MetricsRegistry, MetricsSnapshot, Span};
 
 use crate::cache::{CacheStats, RunCache, StmtCacheCounts};
 use crate::catalog::Catalog;
@@ -20,9 +20,7 @@ use crate::determination::{GlobalGraph, Subgraph};
 use crate::error::EngineError;
 use crate::govern::GovernConfig;
 use crate::supervise::{panic_message, run_supervised, Attempt, DispatchPolicy, SubgraphStatus};
-use crate::target::{
-    dataset_rows, input_schemas, subprogram, translate, ExecOpts, TargetCode, TargetKind,
-};
+use crate::target::{dataset_rows, input_schemas, subprogram, translate, TargetCode, TargetKind};
 
 /// A callback invoked as each subgraph finishes during a run — the
 /// engine-side hook behind the CLI's `--progress` live status line.
@@ -73,9 +71,6 @@ pub struct ExlEngine {
     pub default_target: TargetKind,
     /// Dispatch independent subgraphs of a stage on separate threads.
     pub parallel_dispatch: bool,
-    /// Per-run execution options (the fusion switch)
-    /// threaded down to every backend invocation of this engine.
-    pub exec: ExecOpts,
     /// Fault-handling policy for dispatch (retries, deadlines, fallback,
     /// degradation mode).
     pub policy: DispatchPolicy,
@@ -85,8 +80,8 @@ pub struct ExlEngine {
     /// run; see [`crate::govern`] for the token topology.
     pub govern: GovernConfig,
     /// Metrics registry, populated when observability is enabled via
-    /// [`ExlEngine::enable_metrics`]. When `None` every instrumented path
-    /// uses the no-op recorder, adding no overhead.
+    /// [`ExlEngine::enable_metrics`]. Each run's root span carries it;
+    /// when `None` the spans record no metrics, adding no overhead.
     metrics: Option<Arc<MetricsRegistry>>,
     /// Hierarchical tracer, armed via [`ExlEngine::enable_tracing`].
     /// Disabled by default: every traced path takes the inert no-op route.
@@ -184,7 +179,6 @@ impl Default for ExlEngine {
             graph: GlobalGraph::new(),
             default_target: TargetKind::Native,
             parallel_dispatch: false,
-            exec: ExecOpts::default(),
             policy: DispatchPolicy::default(),
             govern: GovernConfig::default(),
             metrics: None,
@@ -595,14 +589,6 @@ impl ExlEngine {
     /// failure still commits, and the report lists the failed and skipped
     /// cubes.
     pub fn recompute(&mut self, changed: &[CubeId]) -> Result<RunReport, EngineError> {
-        // hold the registry in a local so the recorder borrow does not
-        // pin `self` while the catalog is mutated below
-        let registry = self.metrics.clone();
-        let recorder: &dyn Recorder = match &registry {
-            Some(r) => r.as_ref(),
-            None => &NoopRecorder,
-        };
-        let tracer = self.tracer.clone();
         // every run gets its own governor (a child of the external token
         // over a fresh budget), installed as the dispatching thread's
         // ambient governor for the duration of the run
@@ -617,8 +603,7 @@ impl ExlEngine {
             format!("start: {} changed cube(s)", changed.len())
         });
         let mut result = {
-            let _run_span = exl_obs::span(recorder, "engine.recompute");
-            let run_span = tracer.root("run");
+            let run_span = Span::root(&self.tracer, self.metrics.as_ref(), "run");
             run_span.set_attr("changed", changed.len() as u64);
             let result = {
                 let _governor = crate::govern::set_governor(run_governor.clone());
@@ -626,14 +611,14 @@ impl ExlEngine {
                 // so the dispatcher can consult it mutably while borrowing
                 // the catalog
                 let mut cache = self.cache.take();
-                let result = self.run_phases(changed, recorder, &run_span, &mut cache, &mut obs);
+                let result = self.run_phases(changed, &run_span, &mut cache, &mut obs);
                 self.cache = cache;
                 result
             };
             // governance observability: peak accounted memory, whether
             // the run was cancelled, and why
             if run_governor.budget().mem_peak_bytes() > 0 {
-                recorder.set_gauge(
+                run_span.set_gauge(
                     "govern.mem_peak_bytes",
                     run_governor.budget().mem_peak_bytes() as i64,
                 );
@@ -645,12 +630,12 @@ impl ExlEngine {
                 Ok(_) => run_span.set_attr("status", "ok"),
                 Err(e) => {
                     if e.is_governance() {
-                        recorder.incr_counter("run.cancelled", 1);
+                        run_span.incr_counter("run.cancelled", 1);
                         if matches!(
                             run_governor.budget().verdict(),
                             Err(crate::govern::GovernError::DeadlineExceeded { .. })
                         ) {
-                            recorder.incr_counter("govern.deadline_exceeded", 1);
+                            run_span.incr_counter("govern.deadline_exceeded", 1);
                         }
                     }
                     run_span.set_attr("status", "failed");
@@ -660,7 +645,7 @@ impl ExlEngine {
             result
         };
         let wall = started.elapsed();
-        if let (Some(registry), Ok(report)) = (&registry, result.as_mut()) {
+        if let (Some(registry), Ok(report)) = (&self.metrics, result.as_mut()) {
             report.metrics = registry.snapshot();
         }
         exl_obs::flight::record_with(exl_obs::flight::FlightKind::Run, "engine.run", || {
@@ -725,17 +710,16 @@ impl ExlEngine {
     fn run_phases(
         &mut self,
         changed: &[CubeId],
-        recorder: &dyn Recorder,
         run_span: &Span,
         cache: &mut Option<RunCache>,
         obs: &mut RunObservation,
     ) -> Result<RunReport, EngineError> {
-        let plan = self.plan_run(changed, recorder, run_span)?;
+        let plan = self.plan_run(changed, run_span)?;
         if plan.translated.is_empty() {
             return Ok(RunReport::default());
         }
         obs.stages = plan.stages.len();
-        let mut run = RunState::new(self, recorder, &plan, cache, obs);
+        let mut run = RunState::new(self, run_span, &plan, cache, obs);
         for (stage_no, stage) in plan.stages.iter().enumerate() {
             // a run-level cancel (SIGINT, external token) between stages
             // aborts before any more work is dispatched — fatal under
@@ -759,14 +743,8 @@ impl ExlEngine {
     /// The plan phase: determine and translate (offline), translate the
     /// native variants the runtime fallback chain needs, and order the
     /// subgraphs into dispatch stages.
-    fn plan_run(
-        &self,
-        changed: &[CubeId],
-        recorder: &dyn Recorder,
-        run_span: &Span,
-    ) -> Result<RunPlan, EngineError> {
+    fn plan_run(&self, changed: &[CubeId], run_span: &Span) -> Result<RunPlan, EngineError> {
         let translated = {
-            let _span = exl_obs::span(recorder, "engine.plan_and_translate");
             let plan_span = run_span.child("plan");
             let translated = self.plan_and_translate(changed)?;
             plan_span.set_attr("subgraphs", translated.len() as u64);
@@ -775,8 +753,8 @@ impl ExlEngine {
         if translated.is_empty() {
             return Ok(RunPlan::default());
         }
-        recorder.incr_counter("engine.subgraphs", translated.len() as u64);
-        recorder.incr_counter(
+        run_span.incr_counter("engine.subgraphs", translated.len() as u64);
+        run_span.incr_counter(
             "engine.fallbacks",
             translated.iter().filter(|(_, _, f)| *f).count() as u64,
         );
@@ -799,7 +777,7 @@ impl ExlEngine {
         };
         let subgraphs: Vec<Subgraph> = translated.iter().map(|(s, _, _)| s.clone()).collect();
         let stages = self.graph.stages(&subgraphs);
-        recorder.incr_counter("engine.stages", stages.len() as u64);
+        run_span.incr_counter("engine.stages", stages.len() as u64);
         Ok(RunPlan {
             translated,
             natives,
@@ -938,7 +916,8 @@ fn elapsed_nanos(started: std::time::Instant) -> u64 {
 /// degradation).
 struct RunState<'a> {
     engine: &'a ExlEngine,
-    recorder: &'a dyn Recorder,
+    /// The run's root span: the run-level counters go through it.
+    run_span: &'a Span,
     plan: &'a RunPlan,
     cache: &'a mut Option<RunCache>,
     /// The cache store's I/O counters when the run started.
@@ -956,14 +935,14 @@ struct RunState<'a> {
 impl<'a> RunState<'a> {
     fn new(
         engine: &'a ExlEngine,
-        recorder: &'a dyn Recorder,
+        run_span: &'a Span,
         plan: &'a RunPlan,
         cache: &'a mut Option<RunCache>,
         obs: &'a mut RunObservation,
     ) -> RunState<'a> {
         RunState {
             engine,
-            recorder,
+            run_span,
             plan,
             cache_io_start: cache.as_ref().map(|c| c.stats()).unwrap_or_default(),
             cache,
@@ -983,7 +962,7 @@ impl<'a> RunState<'a> {
     /// back.
     fn check_cancelled(&self) -> Result<(), EngineError> {
         if let Some(err) = crate::govern::governor().and_then(|g| g.token().cancellation()) {
-            self.recorder.incr_counter("engine.rollbacks", 1);
+            self.run_span.incr_counter("engine.rollbacks", 1);
             return Err(err.into());
         }
         Ok(())
@@ -1011,7 +990,7 @@ impl<'a> RunState<'a> {
             let input_ids = engine.input_ids_of(sub)?;
             if input_ids.iter().any(|id| self.poisoned.contains(id)) {
                 span.set_attr("status", "skipped");
-                self.recorder.incr_counter("engine.subgraphs_skipped", 1);
+                self.run_span.incr_counter("engine.subgraphs_skipped", 1);
                 self.poisoned.extend(wanted.iter().cloned());
                 self.report.skipped.extend(wanted);
                 self.settle(si, self.blank_report(si, SubgraphStatus::Skipped));
@@ -1082,11 +1061,11 @@ impl<'a> RunState<'a> {
         };
         span.set_attr("cache_hit", counts.misses == 0);
         span.set_attr("status", status.name());
-        let recorder = self.recorder;
-        recorder.incr_counter("engine.subgraphs_cached", 1);
-        recorder.incr_counter("cache.hits", counts.hits);
-        recorder.incr_counter("cache.delta_hits", counts.delta_hits);
-        recorder.incr_counter("cache.misses", counts.misses);
+        let run_span = self.run_span;
+        run_span.incr_counter("engine.subgraphs_cached", 1);
+        run_span.incr_counter("cache.hits", counts.hits);
+        run_span.incr_counter("cache.delta_hits", counts.delta_hits);
+        run_span.incr_counter("cache.misses", counts.misses);
         if exl_obs::flight::is_armed() {
             let site = join_ids(wanted);
             for (kind, n) in [
@@ -1119,8 +1098,7 @@ impl<'a> RunState<'a> {
     /// of the run governor, which scopes injected cancels and subgraph
     /// deadlines to that subgraph.
     fn dispatch(&self, jobs: Vec<Job>) -> Result<Vec<JobOutcome>, EngineError> {
-        let (plan, recorder) = (self.plan, self.recorder);
-        let (policy, exec) = (&self.engine.policy, self.engine.exec);
+        let (plan, run_span, policy) = (self.plan, self.run_span, &self.engine.policy);
         // dispatch workers can't see this thread's ambient governor:
         // capture it for them
         let ambient = crate::govern::governor();
@@ -1135,9 +1113,7 @@ impl<'a> RunState<'a> {
                 &job.input,
                 &job.wanted,
                 policy,
-                recorder,
                 &job.span,
-                exec,
             );
             let wall_nanos = elapsed_nanos(started);
             finish_subgraph_span(&job.span, &result, &attempts, &job.wanted);
@@ -1165,7 +1141,7 @@ impl<'a> RunState<'a> {
             .into_iter()
             .collect::<Result<_, _>>()
             .map_err(|payload| {
-                recorder.incr_counter("engine.rollbacks", 1);
+                run_span.incr_counter("engine.rollbacks", 1);
                 EngineError::Panic {
                     target: "dispatcher".to_string(),
                     message: panic_message(payload),
@@ -1231,7 +1207,7 @@ impl<'a> RunState<'a> {
         let effective = effective_target(sub, *fallback);
         counts.misses = items.len() as u64;
         self.report.cache.misses += counts.misses;
-        self.recorder.incr_counter("cache.misses", counts.misses);
+        self.run_span.incr_counter("cache.misses", counts.misses);
         exl_obs::flight::record_with(
             exl_obs::flight::FlightKind::CacheMiss,
             &join_ids(wanted),
@@ -1287,10 +1263,10 @@ impl<'a> RunState<'a> {
             // the failing subgraph's report reaches the crash bundle even
             // when the run aborts right here
             self.observe(&r);
-            self.recorder.incr_counter("engine.rollbacks", 1);
+            self.run_span.incr_counter("engine.rollbacks", 1);
             return Err(e);
         }
-        self.recorder.incr_counter("engine.subgraphs_failed", 1);
+        self.run_span.incr_counter("engine.subgraphs_failed", 1);
         self.poisoned.extend(r.cubes.iter().cloned());
         self.report.failed.extend(r.cubes.iter().cloned());
         self.settle(si, r);
@@ -1363,10 +1339,10 @@ impl<'a> RunState<'a> {
             self.report.cache.stores = io.stores;
             self.report.cache.corrupt_entries = io.corrupt_entries;
             self.report.cache.write_failures = io.write_failures;
-            self.recorder.incr_counter("cache.stores", io.stores);
-            self.recorder
+            self.run_span.incr_counter("cache.stores", io.stores);
+            self.run_span
                 .incr_counter("cache.corrupt", io.corrupt_entries);
-            self.recorder
+            self.run_span
                 .incr_counter("cache.write_failures", io.write_failures);
         }
         // a run-level cancel that raced the final stage (a SIGINT during

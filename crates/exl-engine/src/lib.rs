@@ -59,7 +59,7 @@ pub use govern::{CancelToken, GovernConfig, GovernError, Governor, RunBudget};
 pub use ledger::{Baseline, LedgerRecord, LedgerStatement, SentinelConfig, LEDGER_VERSION};
 pub use lineage::{LineageReport, LineageStep};
 pub use supervise::{run_supervised, Attempt, AttemptOutcome, DispatchPolicy, SubgraphStatus};
-pub use target::{execute, run_on_target, translate, ExecOpts, TargetCode, TargetKind};
+pub use target::{execute, run_on_target, translate, TargetCode, TargetKind};
 
 #[cfg(test)]
 mod tests {

@@ -30,10 +30,10 @@ use std::time::Duration;
 
 use exl_model::schema::CubeId;
 use exl_model::Dataset;
-use exl_obs::Recorder;
+use exl_obs::Span;
 
 use crate::error::EngineError;
-use crate::target::{execute, ExecOpts, TargetCode, TargetKind};
+use crate::target::{execute, TargetCode, TargetKind};
 
 /// How the dispatcher behaves when a subgraph execution fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,56 +132,35 @@ impl SubgraphStatus {
 /// chain. Returns the result together with the per-attempt history.
 ///
 /// Every execution attempt (retries and runtime-fallback attempts
-/// included) becomes an `attempt` child span of `trace`, siblings of each
-/// other, carrying `target`, `attempt` (ordinal) and `status` attributes,
-/// and executes with the given [`ExecOpts`]. Callers without metrics or a
-/// trace pass [`exl_obs::NoopRecorder`] and [`exl_obs::Span::disabled`].
-#[allow(clippy::too_many_arguments)]
+/// included) becomes an `attempt` child span of `span`, siblings of each
+/// other, carrying `target`, `attempt` (ordinal) and `status` attributes;
+/// the supervisor's counters are recorded through `span`. Callers without
+/// metrics or a trace pass [`Span::disabled`].
 pub fn run_supervised(
     code: &TargetCode,
     native: Option<&TargetCode>,
     input: &Dataset,
     wanted: &[CubeId],
     policy: &DispatchPolicy,
-    recorder: &dyn Recorder,
-    trace: &exl_obs::Span,
-    opts: ExecOpts,
+    span: &Span,
 ) -> (Result<Dataset, EngineError>, Vec<Attempt>) {
     let mut attempts = Vec::new();
-    let primary = attempt_chain(
-        code,
-        input,
-        wanted,
-        policy,
-        recorder,
-        &mut attempts,
-        trace,
-        opts,
-    );
+    let primary = attempt_chain(code, input, wanted, policy, &mut attempts, span);
     let result = match primary {
         Err(e) if e.is_retryable() && policy.runtime_fallback => match native {
             Some(native) => {
-                recorder.incr_counter("engine.runtime_fallbacks", 1);
+                span.incr_counter("engine.runtime_fallbacks", 1);
                 exl_obs::flight::record_with(
                     exl_obs::flight::FlightKind::Fallback,
                     code.target_name(),
                     || format!("runtime fallback to {}: {e}", native.target_name()),
                 );
-                trace.add_event(format!(
+                span.add_event(format!(
                     "runtime fallback: {} -> {}",
                     code.target_name(),
                     native.target_name()
                 ));
-                attempt_chain(
-                    native,
-                    input,
-                    wanted,
-                    policy,
-                    recorder,
-                    &mut attempts,
-                    trace,
-                    opts,
-                )
+                attempt_chain(native, input, wanted, policy, &mut attempts, span)
             }
             None => Err(e),
         },
@@ -192,36 +171,25 @@ pub fn run_supervised(
 
 /// Try one target up to `1 + retries` times, backing off exponentially
 /// between retryable failures.
-#[allow(clippy::too_many_arguments)]
 fn attempt_chain(
     code: &TargetCode,
     input: &Dataset,
     wanted: &[CubeId],
     policy: &DispatchPolicy,
-    recorder: &dyn Recorder,
     attempts: &mut Vec<Attempt>,
-    trace: &exl_obs::Span,
-    opts: ExecOpts,
+    parent: &Span,
 ) -> Result<Dataset, EngineError> {
     let target = code.target_kind();
     let mut attempt = 0u32;
     loop {
-        let span = trace.child("attempt");
+        let span = parent.child("attempt");
         span.set_attr("target", target.name());
         span.set_attr("attempt", attempts.len() as u64 + 1);
-        let result = execute_guarded(
-            code,
-            input,
-            wanted,
-            policy.subgraph_timeout,
-            recorder,
-            &span,
-            opts,
-        );
+        let result = execute_guarded(code, input, wanted, policy.subgraph_timeout, &span);
         let outcome = match &result {
             Ok(_) => AttemptOutcome::Success,
             Err(EngineError::Panic { message, .. }) => {
-                recorder.incr_counter("engine.panics_caught", 1);
+                span.incr_counter("engine.panics_caught", 1);
                 exl_obs::flight::record_with(
                     exl_obs::flight::FlightKind::PanicCaught,
                     target.name(),
@@ -230,7 +198,7 @@ fn attempt_chain(
                 AttemptOutcome::Panicked(message.clone())
             }
             Err(EngineError::Timeout { millis, .. }) => {
-                recorder.incr_counter("engine.timeouts", 1);
+                span.incr_counter("engine.timeouts", 1);
                 exl_obs::flight::record_with(
                     exl_obs::flight::FlightKind::Timeout,
                     target.name(),
@@ -257,7 +225,7 @@ fn attempt_chain(
         match result {
             Ok(ds) => return Ok(ds),
             Err(e) if e.is_retryable() && attempt < policy.retries => {
-                recorder.incr_counter("engine.retries", 1);
+                parent.incr_counter("engine.retries", 1);
                 exl_obs::flight::record_with(
                     exl_obs::flight::FlightKind::Retry,
                     target.name(),
@@ -283,28 +251,23 @@ fn attempt_chain(
 /// so the thread is reclaimed instead of abandoned. The child token
 /// keeps the cancellation local to this attempt — a retry (or the
 /// native fallback) starts with a fresh, uncancelled child.
-#[allow(clippy::too_many_arguments)]
 fn execute_guarded(
     code: &TargetCode,
     input: &Dataset,
     wanted: &[CubeId],
     timeout: Option<Duration>,
-    recorder: &dyn Recorder,
-    trace: &exl_obs::Span,
-    opts: ExecOpts,
+    span: &Span,
 ) -> Result<Dataset, EngineError> {
     let target = code.target_name();
     let contained = || {
-        let _span = exl_obs::span(recorder, format!("engine.subgraph.{target}"));
-        catch_unwind(AssertUnwindSafe(|| {
-            execute(code, input, wanted, recorder, trace, opts)
-        }))
-        .unwrap_or_else(|payload| {
-            Err(EngineError::Panic {
-                target: target.to_string(),
-                message: panic_message(payload),
-            })
-        })
+        catch_unwind(AssertUnwindSafe(|| execute(code, input, wanted, span))).unwrap_or_else(
+            |payload| {
+                Err(EngineError::Panic {
+                    target: target.to_string(),
+                    message: panic_message(payload),
+                })
+            },
+        )
     };
     let Some(deadline) = timeout else {
         return contained();
@@ -387,9 +350,7 @@ mod tests {
             &input,
             &wanted,
             &DispatchPolicy::default(),
-            &exl_obs::NoopRecorder,
-            &exl_obs::Span::disabled(),
-            ExecOpts::default(),
+            &Span::disabled(),
         );
         assert!(result.is_ok());
         assert_eq!(attempts.len(), 1);
@@ -410,16 +371,8 @@ mod tests {
             subgraph_timeout: Some(Duration::from_millis(20)),
             ..DispatchPolicy::default()
         };
-        let (result, attempts) = run_supervised(
-            &code,
-            None,
-            &input,
-            &wanted,
-            &policy,
-            &exl_obs::NoopRecorder,
-            &exl_obs::Span::disabled(),
-            ExecOpts::default(),
-        );
+        let (result, attempts) =
+            run_supervised(&code, None, &input, &wanted, &policy, &Span::disabled());
         assert!(
             matches!(result, Err(EngineError::Timeout { .. })),
             "{result:?}"
@@ -439,16 +392,8 @@ mod tests {
         let before = live_threads();
         for _ in 0..8 {
             let _guard = exl_fault::install(exl_fault::FaultPlan::delay_once("exec.native", 500));
-            let (result, _) = run_supervised(
-                &code,
-                None,
-                &input,
-                &wanted,
-                &policy,
-                &exl_obs::NoopRecorder,
-                &exl_obs::Span::disabled(),
-                ExecOpts::default(),
-            );
+            let (result, _) =
+                run_supervised(&code, None, &input, &wanted, &policy, &Span::disabled());
             assert!(
                 matches!(result, Err(EngineError::Timeout { .. })),
                 "{result:?}"
@@ -472,17 +417,9 @@ mod tests {
             backoff_base: Duration::ZERO,
             ..DispatchPolicy::default()
         };
-        let registry = exl_obs::MetricsRegistry::new();
-        let (result, attempts) = run_supervised(
-            &code,
-            None,
-            &input,
-            &wanted,
-            &policy,
-            &registry,
-            &exl_obs::Span::disabled(),
-            ExecOpts::default(),
-        );
+        let registry = std::sync::Arc::new(exl_obs::MetricsRegistry::new());
+        let span = Span::root(&exl_obs::Tracer::disabled(), Some(&registry), "subgraph");
+        let (result, attempts) = run_supervised(&code, None, &input, &wanted, &policy, &span);
         assert!(result.is_ok(), "{result:?}");
         assert_eq!(attempts.len(), 2);
         assert!(matches!(attempts[0].outcome, AttemptOutcome::Panicked(_)));
@@ -504,18 +441,11 @@ mod tests {
             runtime_fallback: true,
             ..DispatchPolicy::default()
         };
-        let registry = exl_obs::MetricsRegistry::new();
+        let registry = std::sync::Arc::new(exl_obs::MetricsRegistry::new());
+        let span = Span::root(&exl_obs::Tracer::disabled(), Some(&registry), "subgraph");
         let input = input.restrict(&analyzed.elementary_inputs());
-        let (result, attempts) = run_supervised(
-            &sql,
-            Some(&native),
-            &input,
-            &wanted,
-            &policy,
-            &registry,
-            &exl_obs::Span::disabled(),
-            ExecOpts::default(),
-        );
+        let (result, attempts) =
+            run_supervised(&sql, Some(&native), &input, &wanted, &policy, &span);
         assert!(result.is_ok(), "{result:?}");
         // two failed sql attempts, then one native success
         assert_eq!(attempts.len(), 3);
@@ -536,17 +466,9 @@ mod tests {
             backoff_base: Duration::ZERO,
             ..DispatchPolicy::default()
         };
-        let registry = exl_obs::MetricsRegistry::new();
-        let (result, attempts) = run_supervised(
-            &code,
-            None,
-            &input,
-            &wanted,
-            &policy,
-            &registry,
-            &exl_obs::Span::disabled(),
-            ExecOpts::default(),
-        );
+        let registry = std::sync::Arc::new(exl_obs::MetricsRegistry::new());
+        let span = Span::root(&exl_obs::Tracer::disabled(), Some(&registry), "subgraph");
+        let (result, attempts) = run_supervised(&code, None, &input, &wanted, &policy, &span);
         // native restrict() just yields an empty dataset for unknown ids,
         // so this run can succeed; the property under test is only that
         // retryable classification drives the attempt count

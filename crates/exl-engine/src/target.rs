@@ -270,43 +270,26 @@ pub fn translate(
     }
 }
 
-/// Per-dispatch execution options, threaded from the engine (or `exlc`)
-/// down to the native evaluator. They replace the process-global
-/// `EXL_NO_FUSION` environment toggle inside the engine: the env var
-/// remains a CLI-level default only, so parallel test harnesses can pick
-/// different settings per run without racing on `set_var`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecOpts {
-    /// Run native subgraphs on the statement-at-a-time evaluator instead
-    /// of the fused streaming plans.
-    pub no_fusion: bool,
-}
-
 /// Execute translated code against input data, returning the cubes named
 /// in `wanted` (normally the subgraph's statement targets — rewrite
 /// auxiliaries are filtered out here).
 ///
-/// The whole backend call is timed under the flat `target.execute.<name>`
-/// span of `recorder` and runs under an `execute.<target>` child span of
-/// `trace`; each backend records its internal steps as grandchildren
+/// The whole backend call runs under an `execute.<target>` child span of
+/// `span`; each backend records its internal steps as grandchildren
 /// (`chase.tgd`, `sql.stmt`, `rmini.stmt`, `matmini.stmt`, `etl.flow`, …)
-/// and the chase / parallel-ETL / native backends emit their own counters
-/// to `recorder`. Native subgraphs run fused unless `opts.no_fusion`.
-/// Callers without observability pass [`exl_obs::NoopRecorder`] and
-/// [`exl_obs::Span::disabled`].
+/// and the native, chase and ETL backends record their counters through
+/// them. Native subgraphs run the fused evaluator. Callers without
+/// observability pass [`exl_obs::Span::disabled`].
 pub fn execute(
     code: &TargetCode,
     input: &Dataset,
     wanted: &[CubeId],
-    recorder: &dyn exl_obs::Recorder,
-    trace: &exl_obs::Span,
-    opts: ExecOpts,
+    span: &exl_obs::Span,
 ) -> Result<Dataset, EngineError> {
-    let _span = exl_obs::span(recorder, format!("target.execute.{}", code.target_name()));
-    let exec = trace.child(format!("execute.{}", code.target_name()));
+    let exec = span.child(format!("execute.{}", code.target_name()));
     exec.set_attr("target", code.target_name());
     exec.set_attr("rows_in", dataset_rows(input));
-    let out = execute_backend(code, input, wanted, recorder, &exec, opts);
+    let out = execute_backend(code, input, wanted, &exec);
     match &out {
         Ok(ds) => {
             exec.set_attr("rows_out", dataset_rows(ds));
@@ -348,9 +331,7 @@ fn execute_backend(
     code: &TargetCode,
     input: &Dataset,
     wanted: &[CubeId],
-    recorder: &dyn exl_obs::Recorder,
-    trace: &exl_obs::Span,
-    opts: ExecOpts,
+    span: &exl_obs::Span,
 ) -> Result<Dataset, EngineError> {
     // chaos hook: `exec.<target>` covers the whole backend execution
     exl_fault::check(&format!("exec.{}", code.target_name()))
@@ -360,20 +341,15 @@ fn execute_backend(
     exl_fault::govern::checkpoint()?;
     let full = match code {
         TargetCode::Native { analyzed } => {
-            let evaluated = if opts.no_fusion {
-                exl_eval::run_program_unfused(analyzed, input)
-                    .map(|env| (env, exl_eval::PlanStats::default()))
-            } else {
-                exl_eval::run_program_fused(analyzed, input)
-            };
-            let (full, plan) = evaluated.map_err(|e| governed_or(e.govern_cause(), &e, None))?;
+            let (full, plan) = exl_eval::run_program_fused(analyzed, input)
+                .map_err(|e| governed_or(e.govern_cause(), &e, None))?;
             // plan-compilation telemetry: counters accumulate per run,
             // flight events mark which subgraphs actually fused or CSE'd
-            recorder.incr_counter("plan.regions", plan.regions);
-            recorder.incr_counter("plan.fused_statements", plan.fused_statements);
-            recorder.incr_counter("plan.fused_ops", plan.fused_ops);
-            recorder.incr_counter("plan.cse_reuses", plan.cse_reuses);
-            recorder.incr_counter("plan.bytes_not_materialized", plan.bytes_not_materialized);
+            span.incr_counter("plan.regions", plan.regions);
+            span.incr_counter("plan.fused_statements", plan.fused_statements);
+            span.incr_counter("plan.fused_ops", plan.fused_ops);
+            span.incr_counter("plan.cse_reuses", plan.cse_reuses);
+            span.incr_counter("plan.bytes_not_materialized", plan.bytes_not_materialized);
             if plan.fused_ops > 0 {
                 exl_obs::flight::record_with(
                     exl_obs::flight::FlightKind::PlanFuse,
@@ -399,15 +375,9 @@ fn execute_backend(
             full
         }
         TargetCode::Chase { mapping, schemas } => {
-            let result = exl_chase::chase_traced(
-                mapping,
-                schemas,
-                input,
-                ChaseMode::Stratified,
-                recorder,
-                trace,
-            )
-            .map_err(|e| governed_or(e.govern_cause(), &e, None))?;
+            let result =
+                exl_chase::chase_traced(mapping, schemas, input, ChaseMode::Stratified, span)
+                    .map_err(|e| governed_or(e.govern_cause(), &e, None))?;
             let mut solution = result.solution;
             // relations the chase never derived a fact for are still part
             // of the target schema: surface them as empty cubes
@@ -439,7 +409,7 @@ fn execute_backend(
                 }
             }
             for stmt in statements {
-                engine.run_traced(stmt, trace).map_err(|e| {
+                engine.run_traced(stmt, span).map_err(|e| {
                     governed_or(e.govern_cause(), &e, Some(&format!("statement:\n{stmt}")))
                 })?;
             }
@@ -464,7 +434,7 @@ fn execute_backend(
             for (id, cube) in input.iter() {
                 interp.bind_frame(id.as_str(), exl_rmini::frame_from_cube(cube));
             }
-            interp.run_traced(script, trace).map_err(|e| {
+            interp.run_traced(script, span).map_err(|e| {
                 governed_or(e.govern_cause(), &e, Some(&format!("script:\n{script}")))
             })?;
             let mut out = Dataset::new();
@@ -487,7 +457,7 @@ fn execute_backend(
             for (id, cube) in input.iter() {
                 interp.bind(id.as_str(), session.encode(cube));
             }
-            interp.run_traced(script, trace).map_err(|e| {
+            interp.run_traced(script, span).map_err(|e| {
                 governed_or(e.govern_cause(), &e, Some(&format!("script:\n{script}")))
             })?;
             let mut out = Dataset::new();
@@ -507,9 +477,9 @@ fn execute_backend(
         }
         TargetCode::Etl { job, parallel } => {
             let run = if *parallel {
-                exl_etl::run_job_parallel_traced(job, input, recorder, trace)
+                exl_etl::run_job_parallel_traced(job, input, span)
             } else {
-                job.run_traced(input, trace)
+                job.run_traced(input, span)
             };
             run.map_err(|e| governed_or(e.govern_cause(), &e, None))?
         }
@@ -536,14 +506,7 @@ pub fn run_on_target(
             )));
         }
     }
-    execute(
-        &code,
-        &restricted,
-        &wanted,
-        &exl_obs::NoopRecorder,
-        &exl_obs::Span::disabled(),
-        ExecOpts::default(),
-    )
+    execute(&code, &restricted, &wanted, &exl_obs::Span::disabled())
 }
 
 /// Schemas for a statement subset's *external inputs*: every cube the

@@ -138,6 +138,7 @@ fn metrics_flag_writes_registry_json() {
     );
     for (target, expect_counter) in [
         ("chase", "chase.applications"),
+        ("etl", "etl.rows.source"),
         ("etl-parallel", "etl.rows.source"),
     ] {
         let m = std::env::temp_dir().join(format!(
@@ -163,13 +164,11 @@ fn metrics_flag_writes_registry_json() {
         assert!(metrics["spans"]["lang.parse"]["count"].as_u64() >= Some(1));
         assert!(metrics["spans"]["lang.analyze"]["total_ns"].as_u64() > Some(0));
         assert!(
-            metrics["spans"][format!("engine.subgraph.{target}").as_str()]["count"].as_u64()
-                >= Some(1),
+            metrics["spans"]["attempt"]["count"].as_u64() >= Some(1),
             "{target}: {metrics:?}"
         );
         assert!(
-            metrics["spans"][format!("target.execute.{target}").as_str()]["total_ns"].as_u64()
-                > Some(0),
+            metrics["spans"][format!("execute.{target}").as_str()]["total_ns"].as_u64() > Some(0),
             "{target}: {metrics:?}"
         );
         // backend-specific counters (chase counters / ETL row counts)

@@ -212,10 +212,11 @@ impl Flow {
         self.run_traced(data, &exl_obs::Span::disabled())
     }
 
-    /// [`Flow::run`] with hierarchical tracing: the flow runs under an
+    /// [`Flow::run`] with observability: the flow runs under an
     /// `etl.flow` child span of `trace`, with one child span per step
     /// (`etl.source`, `etl.merge`, `etl.transform`, `etl.output`)
-    /// carrying the step's row counts.
+    /// carrying the step's row counts, which are also added to the
+    /// `etl.rows.<step>` counters.
     pub fn run_traced(&self, data: &Dataset, trace: &exl_obs::Span) -> Result<CubeData, EtlError> {
         if self.sources.is_empty() {
             return Err(EtlError::msg(format!("flow {}: no data sources", self.id)));
@@ -237,6 +238,7 @@ impl Flow {
             span.set_attr("relation", s.relation.to_string());
             let rows = read_source(s, data)?;
             span.set_attr("rows_out", rows.len() as u64);
+            span.incr_counter("etl.rows.source", rows.len() as u64);
             streams.push(rows);
         }
         // merges
@@ -246,6 +248,7 @@ impl Flow {
             span.set_attr("rows_in", (rows.len() + right.len()) as u64);
             rows = merge_rows(rows, right, merge)?;
             span.set_attr("rows_out", rows.len() as u64);
+            span.incr_counter("etl.rows.merge", rows.len() as u64);
         }
         // transforms
         for t in &self.transforms {
@@ -255,10 +258,12 @@ impl Flow {
             span.set_attr("rows_in", rows.len() as u64);
             rows = apply_transform(t, rows)?;
             span.set_attr("rows_out", rows.len() as u64);
+            span.incr_counter("etl.rows.transform", rows.len() as u64);
         }
         // output
         let span = flow_span.child("etl.output");
         span.set_attr("rows_in", rows.len() as u64);
+        span.incr_counter("etl.rows.output", rows.len() as u64);
         let out = write_output(&self.output, rows)?;
         flow_span.set_attr("rows_out", out.len() as u64);
         exl_fault::govern::charge(
@@ -293,11 +298,23 @@ impl Job {
         self.run_traced(input, &exl_obs::Span::disabled())
     }
 
-    /// [`Job::run`] with per-flow and per-step trace spans under `trace`.
+    /// [`Job::run`] with per-flow and per-step spans under `trace` (see
+    /// [`Flow::run_traced`]) and the `etl.flows` count.
     pub fn run_traced(&self, input: &Dataset, trace: &exl_obs::Span) -> Result<Dataset, EtlError> {
+        self.run_flows(input, trace, Flow::run_traced)
+    }
+
+    /// Run every flow in order with `run_flow`, extending the dataset with
+    /// each result (shared with the parallel runner).
+    pub(crate) fn run_flows(
+        &self,
+        input: &Dataset,
+        trace: &exl_obs::Span,
+        run_flow: impl Fn(&Flow, &Dataset, &exl_obs::Span) -> Result<CubeData, EtlError>,
+    ) -> Result<Dataset, EtlError> {
         let mut ds = input.clone();
         for flow in &self.flows {
-            let data = flow.run_traced(&ds, trace)?;
+            let data = run_flow(flow, &ds, trace)?;
             let schema = self
                 .schemas
                 .get(&flow.output.relation)
@@ -305,6 +322,7 @@ impl Job {
                 .clone();
             ds.put(Cube::new(schema, data));
         }
+        trace.incr_counter("etl.flows", self.flows.len() as u64);
         Ok(ds)
     }
 }

@@ -231,32 +231,27 @@ mod tests {
                 measure_field: "v".into(),
             },
         };
-        let err = run_flow_parallel_traced(
-            &flow,
-            &Dataset::new(),
-            &exl_obs::NoopRecorder,
-            &exl_obs::Span::disabled(),
-        )
-        .unwrap_err();
+        let err = run_flow_parallel_traced(&flow, &Dataset::new(), &exl_obs::Span::disabled())
+            .unwrap_err();
         assert!(err.to_string().contains("no data sources"), "{err}");
     }
 
-    /// The recorded runner emits per-step row counters, the flow count,
-    /// and the job span.
+    /// The traced runner emits per-step row counters, the flow count,
+    /// and the flow spans.
     #[test]
     fn parallel_runner_records_row_counters() {
         let (_, mapping, _, input) = gdp_setup();
         let job = mapping_to_job(&mapping).unwrap();
-        let registry = exl_obs::MetricsRegistry::new();
-        let out =
-            run_job_parallel_traced(&job, &input, &registry, &exl_obs::Span::disabled()).unwrap();
+        let registry = std::sync::Arc::new(exl_obs::MetricsRegistry::new());
+        let span = exl_obs::Span::root(&exl_obs::Tracer::disabled(), Some(&registry), "job");
+        let out = run_job_parallel_traced(&job, &input, &span).unwrap();
         assert!(out.data(&"GDP".into()).is_some());
         let snap = registry.snapshot();
         assert!(snap.counter("etl.rows.source") > 0);
         assert!(snap.counter("etl.rows.transform") > 0);
         assert!(snap.counter("etl.rows.output") > 0);
         assert_eq!(snap.counter("etl.flows"), job.flows.len() as u64);
-        assert!(snap.span_total_nanos("etl.job") > 0);
+        assert!(snap.span_total_nanos("etl.flow") > 0);
     }
 
     #[test]

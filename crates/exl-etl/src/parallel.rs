@@ -18,7 +18,7 @@
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use exl_model::{CubeData, Dataset};
-use exl_obs::{NoopRecorder, Recorder};
+use exl_obs::Span;
 
 use crate::flow::{
     apply_transform, merge_rows, read_source, write_output, EtlError, Flow, Job, TransformStep,
@@ -38,16 +38,15 @@ type RowResult = Result<Row, EtlError>;
 /// Execute a flow with one thread per step, with per-step row counters
 /// (`etl.rows.source`, `etl.rows.merge`, `etl.rows.transform`,
 /// `etl.rows.output`) and a channel-occupancy gauge (`etl.channel.depth`)
-/// emitted to `recorder`. The flow runs under an `etl.flow` child span
-/// of `trace`, and every pipeline stage records its own span
+/// recorded through the spans. The flow runs under an `etl.flow` child
+/// span of `trace`, and every pipeline stage records its own span
 /// (`etl.source`, `etl.merge`, `etl.transform`, `etl.output`) *from its
 /// worker thread*, so the exported trace shows the stages genuinely
 /// overlapping in time.
 pub fn run_flow_parallel_traced(
     flow: &Flow,
     data: &Dataset,
-    recorder: &dyn Recorder,
-    trace: &exl_obs::Span,
+    trace: &Span,
 ) -> Result<CubeData, EtlError> {
     if flow.sources.is_empty() {
         return Err(EtlError::msg(format!("flow {}: no data sources", flow.id)));
@@ -78,7 +77,7 @@ pub fn run_flow_parallel_traced(
                 let mut sent = 0u64;
                 match stage_entry(governor).and_then(|()| read_source(source, data)) {
                     Ok(rows) => {
-                        send_rows(&tx, rows, recorder, &mut sent);
+                        send_rows(&tx, rows, &span, &mut sent);
                     }
                     Err(e) => {
                         span.add_event(e.to_string());
@@ -86,7 +85,7 @@ pub fn run_flow_parallel_traced(
                     }
                 }
                 span.set_attr("rows_out", sent);
-                recorder.incr_counter("etl.rows.source", sent);
+                span.incr_counter("etl.rows.source", sent);
             });
         }
 
@@ -111,7 +110,7 @@ pub fn run_flow_parallel_traced(
                     });
                 match merged {
                     Ok(rows) => {
-                        send_rows(&tx, rows, recorder, &mut sent);
+                        send_rows(&tx, rows, &span, &mut sent);
                     }
                     Err(e) => {
                         span.add_event(e.to_string());
@@ -119,7 +118,7 @@ pub fn run_flow_parallel_traced(
                     }
                 }
                 span.set_attr("rows_out", sent);
-                recorder.incr_counter("etl.rows.merge", sent);
+                span.incr_counter("etl.rows.merge", sent);
             });
         }
 
@@ -142,7 +141,7 @@ pub fn run_flow_parallel_traced(
                         match input.recv() {
                             Ok(Ok(row)) => match apply_transform(t, vec![row]) {
                                 Ok(rows) => {
-                                    if !send_rows(&tx, rows, recorder, &mut sent) {
+                                    if !send_rows(&tx, rows, &span, &mut sent) {
                                         break;
                                     }
                                 }
@@ -163,7 +162,7 @@ pub fn run_flow_parallel_traced(
                     // blocking: buffer the whole stream
                     match collect_rows(input).and_then(|rows| apply_transform(t, rows)) {
                         Ok(rows) => {
-                            send_rows(&tx, rows, recorder, &mut sent);
+                            send_rows(&tx, rows, &span, &mut sent);
                         }
                         Err(e) => {
                             span.add_event(e.to_string());
@@ -172,7 +171,7 @@ pub fn run_flow_parallel_traced(
                     }
                 }
                 span.set_attr("rows_out", sent);
-                recorder.incr_counter("etl.rows.transform", sent);
+                span.incr_counter("etl.rows.transform", sent);
             });
         }
 
@@ -182,7 +181,7 @@ pub fn run_flow_parallel_traced(
         let rows = collect_rows(acc)?;
         exl_fault::govern::checkpoint()?;
         span.set_attr("rows_in", rows.len() as u64);
-        recorder.incr_counter("etl.rows.output", rows.len() as u64);
+        span.incr_counter("etl.rows.output", rows.len() as u64);
         let out = write_output(&flow.output, rows)?;
         flow_span.set_attr("rows_out", out.len() as u64);
         exl_fault::govern::charge(
@@ -223,7 +222,7 @@ fn collect_rows(rx: Receiver<RowResult>) -> Result<Vec<Row>, EtlError> {
 fn send_rows(
     tx: &Sender<RowResult>,
     rows: impl IntoIterator<Item = Row>,
-    recorder: &dyn Recorder,
+    span: &Span,
     sent: &mut u64,
 ) -> bool {
     for row in rows {
@@ -232,7 +231,7 @@ fn send_rows(
         }
         *sent += 1;
         if (*sent).is_multiple_of(OCCUPANCY_SAMPLE_EVERY) {
-            recorder.set_gauge("etl.channel.depth", tx.len() as i64);
+            span.set_gauge("etl.channel.depth", tx.len() as i64);
         }
     }
     true
@@ -249,32 +248,18 @@ fn is_streaming(t: &TransformStep) -> bool {
 /// Run a whole job with pipeline-parallel flows (flows still execute in
 /// tgd total order, since later flows read earlier results).
 pub fn run_job_parallel(job: &Job, input: &Dataset) -> Result<Dataset, EtlError> {
-    run_job_parallel_traced(job, input, &NoopRecorder, &exl_obs::Span::disabled())
+    run_job_parallel_traced(job, input, &Span::disabled())
 }
 
-/// [`run_job_parallel`] with the whole job timed under the `etl.job`
-/// span, per-step row counters emitted to `recorder`, and each flow
-/// traced under an `etl.flow` child span of `trace` (see
-/// [`run_flow_parallel_traced`]).
+/// [`run_job_parallel`] with each flow traced under an `etl.flow` child
+/// span of `trace` (see [`run_flow_parallel_traced`]), per-step row
+/// counters and the `etl.flows` count recorded through the spans.
 pub fn run_job_parallel_traced(
     job: &Job,
     input: &Dataset,
-    recorder: &dyn Recorder,
-    trace: &exl_obs::Span,
+    trace: &Span,
 ) -> Result<Dataset, EtlError> {
-    let _span = exl_obs::span(recorder, "etl.job");
-    let mut ds = input.clone();
-    for flow in &job.flows {
-        let data = run_flow_parallel_traced(flow, &ds, recorder, trace)?;
-        let schema = job
-            .schemas
-            .get(&flow.output.relation)
-            .ok_or_else(|| EtlError::msg(format!("no schema for {}", flow.output.relation)))?
-            .clone();
-        ds.put(exl_model::Cube::new(schema, data));
-    }
-    recorder.incr_counter("etl.flows", job.flows.len() as u64);
-    Ok(ds)
+    job.run_flows(input, trace, run_flow_parallel_traced)
 }
 
 /// A sender/receiver pair alias kept public for tests of backpressure.

@@ -1,16 +1,19 @@
-//! Engine-wide observability: counters, gauges, histograms and wall-time
-//! spans, recorded through a [`Recorder`] threaded through the pipeline.
+//! Engine-wide observability: one [`Span`] handle per run layer, whose
+//! closes feed the trace tree, the [`MetricsRegistry`] and the flight
+//! recorder, and through which counters, gauges and histograms are
+//! recorded.
 //!
 //! The layer is deliberately zero-dependency: the in-memory
 //! [`MetricsRegistry`] aggregates under a plain mutex and serializes
 //! itself to JSON with a hand-rolled emitter, so production crates can
-//! depend on it without pulling in serde. Call sites hold a
-//! `&dyn Recorder` (or an `Arc<MetricsRegistry>`) and pay nothing when
-//! given the [`NoopRecorder`].
+//! depend on it without pulling in serde. Call sites hold a `&Span` and
+//! pay nothing when given [`Span::disabled`].
 //!
-//! Naming convention: dotted lowercase paths, `<subsystem>.<what>`,
-//! e.g. `chase.facts_generated`, `engine.subgraph.native` — stable names
-//! that downstream tooling (`scripts/collect_bench.py`, BENCH_*.json
+//! Naming convention: dotted lowercase paths. Spans use the trace tree's
+//! unit-of-work names (`run`, `plan`, `attempt`, `execute.native`; see
+//! [`trace`]); counters use `<subsystem>.<what>`, e.g.
+//! `chase.facts_generated`, `engine.subgraphs` — stable names that
+//! downstream tooling (`scripts/collect_bench.py`, BENCH_*.json
 //! trajectories) can key on.
 
 #![warn(missing_docs)]
@@ -24,78 +27,6 @@ pub use trace::{fmt_duration, AttrValue, Span, TraceEvent, TraceSnapshot, TraceS
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
-use std::time::Instant;
-
-/// Sink for metric events. Implementations must be cheap and
-/// thread-safe; hot paths call these under contention.
-pub trait Recorder: Send + Sync {
-    /// Add `delta` to the named monotonic counter.
-    fn incr_counter(&self, name: &str, delta: u64);
-
-    /// Record the current value of the named gauge (the registry keeps
-    /// the last value and the observed maximum).
-    fn set_gauge(&self, name: &str, value: i64);
-
-    /// Record one observation of the named histogram.
-    fn observe(&self, name: &str, value: f64);
-
-    /// Record one completed span of `nanos` wall time. Usually invoked
-    /// by a dropping [`SpanGuard`] rather than directly.
-    fn record_span(&self, name: &str, nanos: u64);
-}
-
-/// A recorder that drops everything; the default for callers that did
-/// not ask for metrics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn incr_counter(&self, _name: &str, _delta: u64) {}
-    fn set_gauge(&self, _name: &str, _value: i64) {}
-    fn observe(&self, _name: &str, _value: f64) {}
-    fn record_span(&self, _name: &str, _nanos: u64) {}
-}
-
-/// RAII wall-time span: created by [`span`], records its duration into
-/// the recorder when dropped.
-pub struct SpanGuard<'a> {
-    recorder: &'a dyn Recorder,
-    name: String,
-    start: Instant,
-}
-
-impl SpanGuard<'_> {
-    /// Nanoseconds elapsed so far, without closing the span.
-    pub fn elapsed_nanos(&self) -> u64 {
-        nanos_u64(self.start.elapsed().as_nanos())
-    }
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        let nanos = nanos_u64(self.start.elapsed().as_nanos());
-        self.recorder.record_span(&self.name, nanos);
-        // span closes also feed the flight recorder's event ring — one
-        // relaxed atomic load when it is disarmed (the default)
-        flight::record_with(flight::FlightKind::SpanClose, &self.name, || {
-            format!("{nanos} ns")
-        });
-    }
-}
-
-/// Open a wall-time span; it closes (and records) when the returned
-/// guard drops.
-pub fn span<'a>(recorder: &'a dyn Recorder, name: impl Into<String>) -> SpanGuard<'a> {
-    SpanGuard {
-        recorder,
-        name: name.into(),
-        start: Instant::now(),
-    }
-}
-
-fn nanos_u64(nanos: u128) -> u64 {
-    u64::try_from(nanos).unwrap_or(u64::MAX)
-}
 
 /// Last value and running maximum of a gauge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -379,8 +310,8 @@ fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Thread-safe in-memory aggregation of all metric kinds; the recorder
-/// used whenever metrics were requested.
+/// Thread-safe in-memory aggregation of all metric kinds; the registry a
+/// run's spans feed whenever metrics were requested.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     inner: Mutex<MetricsSnapshot>,
@@ -415,16 +346,17 @@ impl MetricsRegistry {
     pub fn to_prometheus_text(&self) -> String {
         self.snapshot().to_prometheus_text()
     }
-}
 
-impl Recorder for MetricsRegistry {
-    fn incr_counter(&self, name: &str, delta: u64) {
+    /// Add `delta` to the named monotonic counter (saturating).
+    pub fn incr_counter(&self, name: &str, delta: u64) {
         let mut inner = self.inner.lock().expect("metrics lock poisoned");
         let slot = inner.counters.entry(name.to_string()).or_insert(0);
         *slot = slot.saturating_add(delta);
     }
 
-    fn set_gauge(&self, name: &str, value: i64) {
+    /// Record the current value of the named gauge (the registry keeps
+    /// the last value and the observed maximum).
+    pub fn set_gauge(&self, name: &str, value: i64) {
         let mut inner = self.inner.lock().expect("metrics lock poisoned");
         inner
             .gauges
@@ -439,7 +371,8 @@ impl Recorder for MetricsRegistry {
             });
     }
 
-    fn observe(&self, name: &str, value: f64) {
+    /// Record one observation of the named histogram.
+    pub fn observe(&self, name: &str, value: f64) {
         let mut inner = self.inner.lock().expect("metrics lock poisoned");
         inner
             .histograms
@@ -448,7 +381,9 @@ impl Recorder for MetricsRegistry {
             .or_insert_with(|| HistogramStat::new(value));
     }
 
-    fn record_span(&self, name: &str, nanos: u64) {
+    /// Record one completed span of `nanos` wall time. Usually invoked by
+    /// a closing [`Span`] rather than directly.
+    pub fn record_span(&self, name: &str, nanos: u64) {
         let mut inner = self.inner.lock().expect("metrics lock poisoned");
         inner
             .spans
@@ -570,12 +505,12 @@ mod tests {
 
     #[test]
     fn spans_nest_and_record_on_drop() {
-        let reg = MetricsRegistry::new();
+        let reg = Arc::new(MetricsRegistry::new());
         {
-            let _outer = span(&reg, "outer");
+            let outer = Span::root(&Tracer::disabled(), Some(&reg), "outer");
             std::thread::sleep(std::time::Duration::from_millis(2));
             {
-                let _inner = span(&reg, "inner");
+                let _inner = outer.child("inner");
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
             // inner has closed, outer still open
@@ -595,12 +530,39 @@ mod tests {
     }
 
     #[test]
-    fn noop_recorder_accepts_everything() {
-        let noop = NoopRecorder;
-        noop.incr_counter("x", 1);
-        noop.set_gauge("x", 1);
-        noop.observe("x", 1.0);
-        let _s = span(&noop, "x");
+    fn span_metrics_reach_the_registry_and_the_tree_alike() {
+        let reg = Arc::new(MetricsRegistry::new());
+        let tracer = Tracer::new();
+        {
+            let run = Span::root(&tracer, Some(&reg), "run");
+            let attempt = run.child("attempt");
+            attempt.incr_counter("engine.retries", 2);
+            attempt.set_gauge("etl.channel.depth", 3);
+            attempt.observe("etl.rows_per_step", 4.0);
+        }
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("engine.retries"), 2);
+        assert_eq!(snap.gauges["etl.channel.depth"].last, 3);
+        assert_eq!(snap.histograms["etl.rows_per_step"].count, 1);
+        // every span key of the registry names a span of the tree
+        let trace = tracer.snapshot();
+        assert_eq!(snap.spans.len(), 2);
+        for name in snap.spans.keys() {
+            assert_eq!(trace.spans_named(name).len(), 1, "{name}");
+        }
+        assert_eq!(
+            snap.spans["attempt"].min_nanos,
+            snap.spans["attempt"].max_nanos
+        );
+    }
+
+    #[test]
+    fn disabled_span_accepts_everything() {
+        let span = Span::disabled();
+        span.incr_counter("x", 1);
+        span.set_gauge("x", 1);
+        span.observe("x", 1.0);
+        let _child = span.child("x");
     }
 
     #[test]
@@ -609,8 +571,8 @@ mod tests {
         reg.incr_counter("chase.facts_generated", 42);
         reg.set_gauge("etl.channel.depth", 7);
         reg.observe("etl.rows_per_step", 120.0);
-        reg.record_span("engine.subgraph.native", 1_500);
-        reg.record_span("engine.subgraph.native", 2_500);
+        reg.record_span("execute.native", 1_500);
+        reg.record_span("execute.native", 2_500);
         let text = reg.to_json();
         let v: serde_json::Value =
             serde_json::from_str(&text).unwrap_or_else(|e| panic!("invalid JSON: {e}\n{text}"));
@@ -621,18 +583,12 @@ mod tests {
             v["histograms"]["etl.rows_per_step"]["mean"].as_f64(),
             Some(120.0)
         );
+        assert_eq!(v["spans"]["execute.native"]["count"].as_u64(), Some(2));
         assert_eq!(
-            v["spans"]["engine.subgraph.native"]["count"].as_u64(),
-            Some(2)
-        );
-        assert_eq!(
-            v["spans"]["engine.subgraph.native"]["total_ns"].as_u64(),
+            v["spans"]["execute.native"]["total_ns"].as_u64(),
             Some(4_000)
         );
-        assert_eq!(
-            v["spans"]["engine.subgraph.native"]["min_ns"].as_u64(),
-            Some(1_500)
-        );
+        assert_eq!(v["spans"]["execute.native"]["min_ns"].as_u64(), Some(1_500));
     }
 
     #[test]
@@ -642,7 +598,7 @@ mod tests {
         reg.set_gauge("govern.mem_peak_bytes", 4096);
         reg.observe("etl.rows_per_step", 10.0);
         reg.observe("etl.rows_per_step", 30.0);
-        reg.record_span("engine.subgraph.native", 2_000);
+        reg.record_span("execute.native", 2_000);
         let text = reg.to_prometheus_text();
         assert!(text.contains("# TYPE exl_engine_subgraphs counter"));
         assert!(text.contains("exl_engine_subgraphs 3"));
@@ -651,8 +607,8 @@ mod tests {
         assert!(text.contains("exl_etl_rows_per_step{quantile=\"0.95\"} 30"));
         assert!(text.contains("exl_etl_rows_per_step_sum 40"));
         assert!(text.contains("exl_etl_rows_per_step_count 2"));
-        assert!(text.contains("exl_engine_subgraph_native_ns_total 2000"));
-        assert!(text.contains("exl_engine_subgraph_native_spans_total 1"));
+        assert!(text.contains("exl_execute_native_ns_total 2000"));
+        assert!(text.contains("exl_execute_native_spans_total 1"));
         // well-formed exposition: every line is a comment or `name value`
         // with a finite value, and no metric name is type-declared twice
         let mut types = std::collections::BTreeSet::new();

@@ -1,21 +1,29 @@
-//! Hierarchical run tracing: a tree of timed spans with typed attributes
-//! and a bounded per-span event log.
+//! Run spans: a tree of timed spans with typed attributes and a bounded
+//! per-span event log, whose closes also feed the run's metrics registry
+//! and the flight recorder.
 //!
-//! Where the flat [`MetricsRegistry`](crate::MetricsRegistry) aggregates
-//! *how much* (counters, histograms, span totals), the [`Tracer`] records
-//! *what happened when*: every span has a stable id, a parent link, start
-//! and end nanoseconds relative to the trace epoch, the recording thread,
-//! and ordered `key → value` attributes (`cube`, `target`, `attempt`,
-//! `rows_in`, `rows_out`, `status`, …). One engine run yields one rooted
-//! tree.
+//! A [`Span`] is the one observability handle a run threads through its
+//! layers. It belongs to a [`Tracer`] (the tree, possibly disarmed) and
+//! carries the run's optional [`MetricsRegistry`]; its children inherit
+//! both. When a span closes it feeds three sinks, each only when armed:
 //!
-//! The layer keeps the crate's zero-dependency, no-op discipline: a
-//! disarmed tracer ([`Tracer::disabled`], also the `Default`) allocates
-//! nothing and every operation on it — span creation, attributes, events —
-//! is a branch on an `Option` and an immediate return. Armed tracers share
-//! one mutex-guarded buffer through an `Arc`, and a [`Span`] is `Sync`, so
-//! worker threads (dispatch workers, pipeline-parallel ETL stages) open
-//! children through a borrowed `&Span`.
+//! * the trace tree — every span has a stable id, a parent link, start
+//!   and end nanoseconds relative to the trace epoch, the recording
+//!   thread, and ordered `key → value` attributes (`cube`, `target`,
+//!   `attempt`, `rows_in`, `rows_out`, `status`, …);
+//! * the registry's `spans` totals, keyed by the span's own name;
+//! * the flight ring, as a `span.close` event.
+//!
+//! Counters, gauges and histograms go through the same handle
+//! ([`Span::incr_counter`], [`Span::set_gauge`], [`Span::observe`]).
+//!
+//! The layer keeps the crate's zero-dependency, no-op discipline: a span
+//! with no tracer, no registry and the flight ring disarmed
+//! ([`Span::disabled`]) allocates nothing, and every operation on it —
+//! children, attributes, events, counters — is a branch and an immediate
+//! return. Armed tracers share one mutex-guarded buffer through an `Arc`,
+//! and a [`Span`] is `Sync`, so worker threads (dispatch workers,
+//! pipeline-parallel ETL stages) open children through a borrowed `&Span`.
 //!
 //! Naming convention: short dotted lowercase names describing the unit of
 //! work, not the specific instance — `run`, `plan`, `stage`, `subgraph`,
@@ -28,6 +36,9 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::Instant;
+
+use crate::flight::{self, FlightKind};
+use crate::MetricsRegistry;
 
 /// Cap on events retained per span; later events are counted, not stored.
 pub const MAX_EVENTS_PER_SPAN: usize = 64;
@@ -244,18 +255,15 @@ impl Tracer {
         self.inner.is_some()
     }
 
-    /// Open a root span (no parent).
-    pub fn root(&self, name: impl Into<String>) -> Span {
-        self.start_span(None, name)
-    }
-
     fn now_nanos(inner: &TracerInner) -> u64 {
         u64::try_from(inner.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
-    fn start_span(&self, parent: Option<u64>, name: impl Into<String>) -> Span {
+    /// Record a new open span in the buffer and return its id (0 when
+    /// disarmed).
+    fn start_span(&self, parent: Option<u64>, name: String) -> u64 {
         let Some(inner) = &self.inner else {
-            return Span::disabled();
+            return 0;
         };
         let start = Self::now_nanos(inner);
         let mut buf = inner.buf.lock().expect("trace lock poisoned");
@@ -264,7 +272,7 @@ impl Tracer {
         buf.spans.push(TraceSpan {
             id,
             parent,
-            name: name.into(),
+            name,
             start_nanos: start,
             end_nanos: None,
             thread,
@@ -272,10 +280,7 @@ impl Tracer {
             events: Vec::new(),
             events_dropped: 0,
         });
-        Span {
-            tracer: self.clone(),
-            id,
-        }
+        id
     }
 
     fn with_span(&self, id: u64, f: impl FnOnce(&mut TraceSpan, u64)) {
@@ -298,43 +303,108 @@ impl Tracer {
     }
 }
 
-/// RAII handle on an open span: ends (records `end_nanos`) when dropped.
-/// Obtained from [`Tracer::root`] or [`Span::child`]; a handle from a
-/// disabled tracer is inert.
+/// RAII handle on an open span: closes when dropped, feeding the trace
+/// tree, the metrics registry and the flight ring (each when armed).
+/// Obtained from [`Span::root`] or [`Span::child`]; a handle with no sink
+/// armed is inert.
 #[must_use = "a span ends when its handle drops"]
 #[derive(Debug)]
 pub struct Span {
     tracer: Tracer,
     id: u64,
+    metrics: Option<Arc<MetricsRegistry>>,
+    /// Name and start time, kept only when the registry or the flight
+    /// ring takes the close.
+    timing: Option<(String, Instant)>,
 }
 
 impl Span {
-    /// An inert handle (no tracer): children are inert too, attributes
-    /// and events vanish. The traced code paths take `&Span` and work
-    /// unchanged — and at full speed — when handed this.
+    /// An inert handle: no tracer and no registry. Attributes, events and
+    /// metrics vanish; children are inert too, except that they still
+    /// report `span.close` to an armed flight ring. The instrumented code
+    /// paths take `&Span` and work unchanged — and at full speed — when
+    /// handed this.
     pub fn disabled() -> Span {
         Span {
             tracer: Tracer::disabled(),
             id: 0,
+            metrics: None,
+            timing: None,
         }
     }
 
-    /// True when the span actually records.
+    /// Open a root span (no parent) of `tracer`; it and its descendants
+    /// also feed `metrics`, when given.
+    pub fn root(
+        tracer: &Tracer,
+        metrics: Option<&Arc<MetricsRegistry>>,
+        name: impl Into<String>,
+    ) -> Span {
+        Span::open(tracer, None, metrics, name)
+    }
+
+    fn open(
+        tracer: &Tracer,
+        parent: Option<u64>,
+        metrics: Option<&Arc<MetricsRegistry>>,
+        name: impl Into<String>,
+    ) -> Span {
+        let timed = metrics.is_some() || flight::is_armed();
+        if !timed && !tracer.is_enabled() {
+            return Span::disabled();
+        }
+        let name = name.into();
+        let start = Instant::now();
+        let (id, timing) = if tracer.is_enabled() {
+            let timing = timed.then(|| (name.clone(), start));
+            (tracer.start_span(parent, name), timing)
+        } else {
+            (0, Some((name, start)))
+        };
+        Span {
+            tracer: tracer.clone(),
+            id,
+            metrics: metrics.cloned(),
+            timing,
+        }
+    }
+
+    /// True when the span records into a trace tree, i.e. when its
+    /// attributes and events are kept.
     pub fn is_enabled(&self) -> bool {
         self.tracer.is_enabled()
     }
 
-    /// This span's id (0 when disabled).
+    /// This span's id (0 when it records into no trace tree).
     pub fn id(&self) -> u64 {
         self.id
     }
 
-    /// Open a child span.
+    /// Open a child span: same tracer, same registry.
     pub fn child(&self, name: impl Into<String>) -> Span {
-        if !self.tracer.is_enabled() {
-            return Span::disabled();
+        Span::open(&self.tracer, Some(self.id), self.metrics.as_ref(), name)
+    }
+
+    /// Add `delta` to the named counter of the run's registry.
+    pub fn incr_counter(&self, name: &str, delta: u64) {
+        if let Some(m) = &self.metrics {
+            m.incr_counter(name, delta);
         }
-        self.tracer.start_span(Some(self.id), name)
+    }
+
+    /// Set the named gauge of the run's registry.
+    pub fn set_gauge(&self, name: &str, value: i64) {
+        if let Some(m) = &self.metrics {
+            m.set_gauge(name, value);
+        }
+    }
+
+    /// Record one observation of the named histogram of the run's
+    /// registry.
+    pub fn observe(&self, name: &str, value: f64) {
+        if let Some(m) = &self.metrics {
+            m.observe(name, value);
+        }
     }
 
     /// Set (or overwrite) an attribute.
@@ -377,6 +447,13 @@ impl Drop for Span {
                 span.end_nanos = Some(now);
             }
         });
+        if let Some((name, start)) = &self.timing {
+            let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            if let Some(m) = &self.metrics {
+                m.record_span(name, nanos);
+            }
+            flight::record_with(FlightKind::SpanClose, name, || format!("{nanos} ns"));
+        }
     }
 }
 
@@ -531,7 +608,7 @@ mod tests {
     fn sample_trace() -> TraceSnapshot {
         let tracer = Tracer::new();
         {
-            let run = tracer.root("run");
+            let run = Span::root(&tracer, None, "run");
             run.set_attr("changed", "A");
             {
                 let sub = run.child("subgraph");
@@ -571,7 +648,7 @@ mod tests {
     #[test]
     fn attributes_overwrite_in_place_and_type() {
         let tracer = Tracer::new();
-        let span = tracer.root("x");
+        let span = Span::root(&tracer, None, "x");
         span.set_attr("status", "running");
         span.set_attr("status", "done");
         span.set_attr("n", 7u64);
@@ -586,7 +663,7 @@ mod tests {
     #[test]
     fn event_log_is_bounded() {
         let tracer = Tracer::new();
-        let span = tracer.root("x");
+        let span = Span::root(&tracer, None, "x");
         for i in 0..(MAX_EVENTS_PER_SPAN + 10) {
             span.add_event(format!("e{i}"));
         }
@@ -600,7 +677,7 @@ mod tests {
     fn disabled_tracer_records_nothing() {
         let tracer = Tracer::disabled();
         assert!(!tracer.is_enabled());
-        let span = tracer.root("x");
+        let span = Span::root(&tracer, None, "x");
         assert!(!span.is_enabled());
         span.set_attr("k", 1u64);
         span.add_event("nothing");
@@ -620,7 +697,7 @@ mod tests {
     #[test]
     fn cross_thread_children_attach_to_their_parent() {
         let tracer = Tracer::new();
-        let root = tracer.root("run");
+        let root = Span::root(&tracer, None, "run");
         let parent = &root;
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..3)

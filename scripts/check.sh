@@ -70,7 +70,7 @@ cat > "$tmp/data.json" <<'EOF'
          [[{"Time": {"Quarter": {"year": 2020, "quarter": 2}}}], 2.5] ] }
 EOF
 cargo run -q --release -p exl-engine --bin exlc -- \
-    --trace "$tmp/trace.json" --progress \
+    --trace "$tmp/trace.json" --progress --metrics "$tmp/metrics.json" \
     run "$tmp/prog.exl" "$tmp/data.json" > "$tmp/out.json" 2> "$tmp/progress.txt"
 python3 - "$tmp/trace.json" "$tmp/progress.txt" <<'PY'
 import json, sys
@@ -87,6 +87,17 @@ progress = [l for l in open(sys.argv[2])
             if "computed" in l or "failed" in l or "skipped" in l]
 assert len(subs) >= len(progress) >= 1, (len(subs), len(progress))
 print(f"trace ok: {len(subs)} subgraph span(s), {len(progress)} progress line(s)")
+PY
+# one span vocabulary: every span the metrics registry totals is a span
+# of the trace, and the run's layers appear in both
+python3 - "$tmp/trace.json" "$tmp/metrics.json" <<'PY'
+import json, sys
+traced = {e["name"] for e in json.load(open(sys.argv[1]))["traceEvents"] if e["ph"] == "X"}
+spans = set(json.load(open(sys.argv[2]))["spans"])
+assert spans <= traced, f"metric spans missing from the trace: {sorted(spans - traced)}"
+for name in ("run", "plan", "attempt", "execute.native"):
+    assert name in traced and name in spans, f"{name} not in both trace and metrics"
+print(f"span vocabulary ok: {len(spans)} span name(s)")
 PY
 
 echo "== observability =="

@@ -111,8 +111,9 @@ fn fused_equals_unfused_on_deep_chains() {
 
 /// The wide workload (the benchmark's `wide` shape, scaled down): a
 /// row-wise chain and two per-region series over `(q, r)` capped by a
-/// cross-region aggregation, run through the full engine with fusion on
-/// and off (the per-run `ExecOpts` switch) — bit-identical either way.
+/// cross-region aggregation, run through the full engine (whose native
+/// subgraphs always run fused) and compared against the unfused
+/// reference evaluator on the same input — bit-identical.
 #[test]
 fn wide_workload_fused_equals_unfused_through_the_engine() {
     use exl_workload::{wide_program, wide_scenario, WideConfig};
@@ -123,24 +124,21 @@ fn wide_workload_fused_equals_unfused_through_the_engine() {
         barrier: true,
     };
     let (analyzed, input) = wide_scenario(cfg);
-    let src = wide_program(cfg.barrier);
-    let run = |no_fusion: bool| {
-        let mut e = exl_engine::ExlEngine::new();
-        e.exec.no_fusion = no_fusion;
-        e.register_program("wide", &src).expect("program registers");
-        for id in analyzed.elementary_inputs() {
-            e.load_elementary(&id, input.data(&id).expect("input data").clone())
-                .expect("elementary loads");
-        }
-        e.run_all().expect("wide run");
-        let mut out = Dataset::new();
-        for id in analyzed.program.derived_ids() {
-            let data = e.data(&id).expect("derived cube computed").clone();
-            out.put(exl_model::Cube::new(analyzed.schemas[&id].clone(), data));
-        }
-        out
-    };
-    assert_bit_identical(&analyzed, &run(false), &run(true), "wide workload");
+    let mut e = exl_engine::ExlEngine::new();
+    e.register_program("wide", &wide_program(cfg.barrier))
+        .expect("program registers");
+    for id in analyzed.elementary_inputs() {
+        e.load_elementary(&id, input.data(&id).expect("input data").clone())
+            .expect("elementary loads");
+    }
+    e.run_all().expect("wide run");
+    let mut engine = Dataset::new();
+    for id in analyzed.program.derived_ids() {
+        let data = e.data(&id).expect("derived cube computed").clone();
+        engine.put(exl_model::Cube::new(analyzed.schemas[&id].clone(), data));
+    }
+    let unfused = exl_eval::run_program_unfused(&analyzed, &input).expect("unfused wide run");
+    assert_bit_identical(&analyzed, &engine, &unfused, "wide workload");
 }
 
 /// Warm-cache delta runs: the engine's run cache splits subgraphs at the

@@ -50,26 +50,34 @@ fn run_report_chase_counters_match_chase_stats() {
         result.stats.facts_generated as u64
     );
     assert_eq!(m.counter("chase.passes"), result.stats.passes as u64);
-    assert!(m.span_total_nanos("chase.run") > 0);
-    assert!(m.span_total_nanos("engine.subgraph.chase") > 0);
-    assert!(m.span_total_nanos("target.execute.chase") > 0);
-    assert!(m.span_total_nanos("engine.recompute") >= m.span_total_nanos("engine.subgraph.chase"));
+    assert!(m.span_total_nanos("chase.tgd") > 0);
+    assert!(m.span_total_nanos("attempt") > 0);
+    assert!(m.span_total_nanos("execute.chase") > 0);
+    assert!(m.span_total_nanos("run") >= m.span_total_nanos("attempt"));
 }
 
-/// An ETL-parallel run surfaces the per-step row counters through the
-/// same report.
+/// An ETL run, sequential or pipeline-parallel, surfaces the per-step
+/// row counters through the same report, and both runners count the
+/// same rows and flows.
 #[test]
 fn run_report_carries_etl_row_counters() {
-    let mut e = gdp_engine(TargetKind::EtlParallel);
-    e.enable_metrics();
-    let report = e.run_all().unwrap();
-    let m = &report.metrics;
-    assert_eq!(m.counter("engine.subgraphs"), 1);
-    assert_eq!(m.counter("engine.fallbacks"), 0);
-    assert!(m.counter("etl.rows.source") > 0);
-    assert!(m.counter("etl.rows.output") > 0);
-    assert!(m.counter("etl.flows") > 0);
-    assert!(m.span_total_nanos("target.execute.etl-parallel") > 0);
+    let counts = [TargetKind::Etl, TargetKind::EtlParallel].map(|target| {
+        let mut e = gdp_engine(target);
+        e.enable_metrics();
+        let report = e.run_all().unwrap();
+        let m = &report.metrics;
+        assert_eq!(m.counter("engine.subgraphs"), 1, "{target}");
+        assert_eq!(m.counter("engine.fallbacks"), 0, "{target}");
+        assert!(m.counter("etl.rows.source") > 0, "{target}");
+        assert!(m.counter("etl.rows.output") > 0, "{target}");
+        assert!(m.counter("etl.flows") > 0, "{target}");
+        assert!(
+            m.span_total_nanos(&format!("execute.{target}")) > 0,
+            "{target}"
+        );
+        ["etl.rows.source", "etl.rows.output", "etl.flows"].map(|c| m.counter(c))
+    });
+    assert_eq!(counts[0], counts[1], "etl vs etl-parallel");
 }
 
 /// Without `enable_metrics`, runs record nothing and the report's
@@ -79,7 +87,7 @@ fn metrics_default_off_and_report_empty() {
     let mut e = gdp_engine(TargetKind::Native);
     let report = e.run_all().unwrap();
     assert_eq!(report.metrics.counter("engine.subgraphs"), 0);
-    assert_eq!(report.metrics.span_total_nanos("engine.recompute"), 0);
+    assert_eq!(report.metrics.span_total_nanos("run"), 0);
     assert!(e.metrics().is_none());
 }
 
